@@ -427,10 +427,12 @@ int cmd_characterize_corners(const Cli& cli)
         std::cout << "backend: " << core::char_backend_name(stats.backend);
         if (stats.backend == core::CharBackend::PowerEmulation) {
             std::cout << " (" << stats.emulated_pairs << " emulated pair scores, "
-                      << stats.calibration_pairs << " calibration pairs)";
+                      << stats.calibration_pairs << " calibration pairs in "
+                      << util::TextTable::fmt(stats.calibrate_ms, 1) << " ms)";
         } else if (stats.corner_calibration_pairs > 0) {
             std::cout << " (" << stats.corner_calibration_pairs
-                      << " transfer-calibration pairs)";
+                      << " transfer-calibration pairs in "
+                      << util::TextTable::fmt(stats.calibrate_ms, 1) << " ms)";
         }
         std::cout << '\n';
     }
@@ -501,8 +503,9 @@ int cmd_characterize(const Cli& cli)
             if (stats.backend == core::CharBackend::PowerEmulation) {
                 std::cout << " (" << stats.emulated_pairs << " emulated pairs in "
                           << stats.emulation_passes << " settle passes, "
-                          << stats.calibration_pairs
-                          << " event-kernel calibration pairs, residual scale "
+                          << stats.calibration_pairs << " event-kernel calibration pairs in "
+                          << util::TextTable::fmt(stats.calibrate_ms, 1)
+                          << " ms, residual scale "
                           << util::TextTable::fmt(stats.calibration_scale, 4) << ")";
             }
             std::cout << '\n';

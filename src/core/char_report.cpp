@@ -119,7 +119,8 @@ void print_characterization_report(std::ostream& os,
         if (report.run.backend == CharBackend::PowerEmulation) {
             os << ", " << report.run.emulated_pairs << " emulated pairs in "
                << report.run.emulation_passes << " settle passes, calibrated on "
-               << report.run.calibration_pairs << " event-kernel pairs (residual scale "
+               << report.run.calibration_pairs << " event-kernel pairs in "
+               << util::TextTable::fmt(report.run.calibrate_ms, 1) << " ms (residual scale "
                << util::TextTable::fmt(report.run.calibration_scale, 4) << ")";
         }
         os << '\n';

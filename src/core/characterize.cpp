@@ -557,6 +557,44 @@ CalibrationShard run_calibration_shard(const sim::SimContext& context, int m,
     return out;
 }
 
+/// The calibration shards of every corner of a plan, run as one task grid.
+struct CalibrationGrid {
+    std::size_t shards_per_corner = 0;
+    std::vector<CalibrationShard> cells; ///< corner-major: [k * shards_per_corner + i]
+
+    [[nodiscard]] std::span<const CalibrationShard> corner(std::size_t k) const
+    {
+        return std::span{cells}.subspan(k * shards_per_corner, shards_per_corner);
+    }
+};
+
+/// Run the calibration of all corners in @p contexts as one (corner ×
+/// calibration shard) pool.parallel_map. Every corner replays the same
+/// shard ids (kCalibrationShardBase + i), so every corner sees the same
+/// stimulus; a cell depends on nothing but its own (corner, shard), so the
+/// grid is bit-identical for any thread count and any task order.
+CalibrationGrid run_calibration_grid(std::span<const sim::SimContext* const> contexts,
+                                     int m, StimulusMode mode,
+                                     const CharacterizationOptions& options,
+                                     const sim::EventSimOptions& sim_options,
+                                     const util::ThreadPool& pool)
+{
+    const std::size_t shard_size =
+        options.shard_size != 0 ? options.shard_size : options.batch;
+    CalibrationGrid grid;
+    grid.shards_per_corner = (options.calibration_pairs + shard_size - 1) / shard_size;
+    grid.cells = pool.parallel_map(
+        contexts.size() * grid.shards_per_corner, [&](std::size_t cell) {
+            const std::size_t k = cell / grid.shards_per_corner;
+            const std::size_t i = cell % grid.shards_per_corner;
+            const std::size_t planned =
+                std::min(shard_size, options.calibration_pairs - i * shard_size);
+            return run_calibration_shard(*contexts[k], m, mode, options, sim_options,
+                                         kCalibrationShardBase + i, planned);
+        });
+    return grid;
+}
+
 /// The emulation backend's calibrated weight vector plus its counters.
 struct CalibrationResult {
     std::vector<double> weights; ///< per-net per-toggle charge, corrected
@@ -564,37 +602,19 @@ struct CalibrationResult {
     double scale = 1.0;            ///< fitted residual glitch scale
 };
 
-/// Fit the glitch correction: per-cell-output toggle-ratio factors (event
-/// toggles / zero-delay toggles — glitches multiply a net's toggle count
-/// but never its per-toggle charge) folded into the base weights, then one
-/// residual scale fitted with util::least_squares over per-shard
-/// (corrected emulated total, event total) rows to absorb charge on nets
-/// the zero-delay settles never toggled. Calibration shards reuse the
-/// sharded seed scheme with ids offset by kCalibrationShardBase and are
-/// merged in shard order, so the fit — like the records — is a pure
-/// function of the stimulus plan, bit-identical for any thread count.
-CalibrationResult calibrate_emulation(const sim::SimContext& context, int m,
-                                      StimulusMode mode,
-                                      const CharacterizationOptions& options,
-                                      const sim::EventSimOptions& sim_options,
-                                      const util::ThreadPool& pool)
+/// Fit the glitch correction of one corner from its calibration shards:
+/// per-cell-output toggle-ratio factors (event toggles / zero-delay toggles
+/// — glitches multiply a net's toggle count but never its per-toggle
+/// charge) folded into the base weights, then one residual scale fitted
+/// with util::least_squares over per-shard (corrected emulated total, event
+/// total) rows to absorb charge on nets the zero-delay settles never
+/// toggled. Shards merge in shard order.
+CalibrationResult fit_glitch_correction(const sim::SimContext& context,
+                                        const sim::EventSimOptions& sim_options,
+                                        std::span<const CalibrationShard> shards)
 {
     CalibrationResult out;
     out.weights = base_charge_weights(context, sim_options);
-    if (options.calibration_pairs == 0) {
-        return out;
-    }
-
-    const std::size_t shard_size =
-        options.shard_size != 0 ? options.shard_size : options.batch;
-    const std::size_t num_shards =
-        (options.calibration_pairs + shard_size - 1) / shard_size;
-    const auto shards = pool.parallel_map(num_shards, [&](std::size_t i) {
-        const std::size_t planned =
-            std::min(shard_size, options.calibration_pairs - i * shard_size);
-        return run_calibration_shard(context, m, mode, options, sim_options,
-                                     kCalibrationShardBase + i, planned);
-    });
 
     const std::size_t nets = context.netlist().num_nets();
     std::vector<std::uint64_t> event_toggles(nets, 0);
@@ -644,6 +664,30 @@ CalibrationResult calibrate_emulation(const sim::SimContext& context, int m,
         w *= out.scale;
     }
     return out;
+}
+
+/// Calibrate every corner in @p contexts on one run_calibration_grid and
+/// fit each corner from its own shards. Calibration is a pure function of
+/// the stimulus plan and the corner, so each weight vector is bit-identical
+/// for any thread count and equal to a single-corner run's (the K = 1 call).
+std::vector<CalibrationResult> calibrate_emulation(
+    std::span<const sim::SimContext* const> contexts, int m, StimulusMode mode,
+    const CharacterizationOptions& options, const sim::EventSimOptions& sim_options,
+    const util::ThreadPool& pool)
+{
+    std::vector<CalibrationResult> results(contexts.size());
+    if (options.calibration_pairs == 0) {
+        for (std::size_t k = 0; k < contexts.size(); ++k) {
+            results[k].weights = base_charge_weights(*contexts[k], sim_options);
+        }
+        return results;
+    }
+    const CalibrationGrid grid =
+        run_calibration_grid(contexts, m, mode, options, sim_options, pool);
+    for (std::size_t k = 0; k < contexts.size(); ++k) {
+        results[k] = fit_glitch_correction(*contexts[k], sim_options, grid.corner(k));
+    }
+    return results;
 }
 
 // ---------------------------------------------------------------------------
@@ -884,68 +928,6 @@ MultiShardResult run_shard_emulation_multi(const sim::SimContext& context, int m
     return out;
 }
 
-/// One corner-transfer calibration shard: the same stimulus subsample
-/// driven through the event kernel at *every* corner. Corner 0's per-net
-/// toggle totals are the transfer reference; each other corner contributes
-/// its own toggle totals (for per-net glitch-ratio factors) and its total
-/// event charge (for the residual scale fit).
-struct CornerTransferShard {
-    std::vector<std::uint64_t> ref_toggles;                 ///< per net, corner 0
-    std::vector<std::vector<std::uint64_t>> corner_toggles; ///< [k-1][net]
-    std::vector<double> corner_charge;                      ///< [k-1], summed
-    std::uint64_t pairs = 0;                                ///< transitions per corner
-};
-
-CornerTransferShard run_corner_transfer_shard(
-    std::span<const sim::SimContext* const> contexts, int m, StimulusMode mode,
-    const CharacterizationOptions& options, const sim::EventSimOptions& sim_options,
-    std::uint64_t shard_id, std::size_t count)
-{
-    const std::size_t corners = contexts.size();
-    CornerTransferShard out;
-    out.corner_toggles.resize(corners - 1);
-    out.corner_charge.assign(corners - 1, 0.0);
-
-    for (std::size_t c = 0; c < corners; ++c) {
-        // A fresh stream per corner: identical (seed, shard) → identical
-        // stimulus, so every corner sees the same transitions.
-        StimulusStream stimulus{m, mode, options.seed, shard_id};
-        sim::EventSimulator simulator{*contexts[c], sim_options};
-        double charge = 0.0;
-        std::uint64_t pairs = 0;
-        if (mode == StimulusMode::StratifiedPairs) {
-            BitVec u;
-            BitVec v;
-            while (pairs < count) {
-                (void)stimulus.next_pair(u, v);
-                simulator.initialize(u);
-                charge += simulator.apply(v).charge_fc;
-                ++pairs;
-            }
-        } else {
-            simulator.initialize(stimulus.current());
-            while (pairs < count) {
-                const BitVec previous = stimulus.current();
-                const BitVec next = stimulus.chain_next();
-                if (BitVec::hamming_distance(previous, next) == 0) {
-                    continue;
-                }
-                charge += simulator.apply(next).charge_fc;
-                ++pairs;
-            }
-        }
-        const std::vector<std::uint64_t>& toggles = simulator.cumulative_transitions();
-        if (c == 0) {
-            out.ref_toggles = toggles;
-            out.pairs = pairs;
-        } else {
-            out.corner_toggles[c - 1] = toggles;
-            out.corner_charge[c - 1] = charge;
-        }
-    }
-    return out;
-}
-
 /// Per-corner transfer weights of an event-kernel multi-corner sweep.
 struct CornerTransferResult {
     std::vector<std::vector<double>> weights; ///< [k-1][net], corrected + scaled
@@ -959,10 +941,12 @@ struct CornerTransferResult {
 /// integer-ps rounding and the fixed inertial window, so these ratios sit
 /// near 1) folded into corner k's base edge-charge weights, then one
 /// residual scale per corner fitted with util::least_squares over
-/// per-shard (transferred charge, corner-k event charge) rows. Calibration
-/// shards reuse the kCalibrationShardBase id scheme and merge in shard
-/// order — the fit is a pure function of the stimulus plan and corner
-/// list, bit-identical for any thread count.
+/// per-shard (transferred charge, corner-k event charge) rows. Every
+/// corner's cells come from one run_calibration_grid, of which the fit
+/// reads only the event-kernel half; corner 0's cells are the transfer
+/// reference. Each corner merges in shard order, so the fit is a pure
+/// function of the stimulus plan and corner list, bit-identical for any
+/// thread count.
 CornerTransferResult calibrate_corner_transfer(
     std::span<const sim::SimContext* const> contexts, int m, StimulusMode mode,
     const CharacterizationOptions& options, const sim::EventSimOptions& sim_options,
@@ -979,32 +963,28 @@ CornerTransferResult calibrate_corner_transfer(
         return out;
     }
 
-    const std::size_t shard_size =
-        options.shard_size != 0 ? options.shard_size : options.batch;
-    const std::size_t num_shards =
-        (options.calibration_pairs + shard_size - 1) / shard_size;
-    const auto shards = pool.parallel_map(num_shards, [&](std::size_t i) {
-        const std::size_t planned =
-            std::min(shard_size, options.calibration_pairs - i * shard_size);
-        return run_corner_transfer_shard(contexts, m, mode, options, sim_options,
-                                         kCalibrationShardBase + i, planned);
-    });
+    const CalibrationGrid grid =
+        run_calibration_grid(contexts, m, mode, options, sim_options, pool);
+    const std::span<const CalibrationShard> reference = grid.corner(0);
 
     const std::size_t nets = contexts[0]->netlist().num_nets();
     std::vector<std::uint64_t> ref_toggles(nets, 0);
-    for (const CornerTransferShard& shard : shards) {
+    for (const CalibrationShard& shard : reference) {
         for (std::size_t net = 0; net < nets; ++net) {
-            ref_toggles[net] += shard.ref_toggles[net];
+            ref_toggles[net] += shard.event_toggles[net];
         }
-        out.event_pairs += shard.pairs * corners;
+    }
+    for (const CalibrationShard& cell : grid.cells) {
+        out.event_pairs += cell.pairs;
     }
 
     for (std::size_t k = 1; k < corners; ++k) {
+        const std::span<const CalibrationShard> shards = grid.corner(k);
         std::vector<double>& weights = out.weights[k - 1];
         std::vector<std::uint64_t> corner_toggles(nets, 0);
-        for (const CornerTransferShard& shard : shards) {
+        for (const CalibrationShard& shard : shards) {
             for (std::size_t net = 0; net < nets; ++net) {
-                corner_toggles[net] += shard.corner_toggles[k - 1][net];
+                corner_toggles[net] += shard.event_toggles[net];
             }
         }
         for (netlist::NetId net = 0; net < nets; ++net) {
@@ -1021,10 +1001,10 @@ CornerTransferResult calibrate_corner_transfer(
             double transferred = 0.0;
             for (std::size_t net = 0; net < nets; ++net) {
                 transferred += weights[net] *
-                               static_cast<double>(shards[s].ref_toggles[net]);
+                               static_cast<double>(reference[s].event_toggles[net]);
             }
             a.at(s, 0) = transferred;
-            b[s] = shards[s].corner_charge[k - 1];
+            b[s] = shards[s].event_charge_fc;
             transferred_total += transferred;
         }
         if (transferred_total > 0.0) {
@@ -1112,8 +1092,10 @@ struct ShardRunner::Impl {
             // process that runs shards of this plan computes the identical
             // weight vector.
             const util::ThreadPool pool{options.threads};
-            calibration =
-                calibrate_emulation(context, m, mode, options, sim_options, pool);
+            const sim::SimContext* const only = &context;
+            calibration = std::move(
+                calibrate_emulation({&only, 1}, m, mode, options, sim_options, pool)
+                    .front());
         }
     }
 
@@ -1293,10 +1275,16 @@ std::vector<CharacterizationRecord> Characterizer::collect_records(
     // about it needs journaling.
     const bool emulation = options.backend == CharBackend::PowerEmulation;
     CalibrationResult calibration;
+    const auto calibrate_start = std::chrono::steady_clock::now();
     if (emulation) {
-        calibration =
-            calibrate_emulation(context, m, mode, options, sim_options_, pool);
+        const sim::SimContext* const only = &context;
+        calibration = std::move(
+            calibrate_emulation({&only, 1}, m, mode, options, sim_options_, pool)
+                .front());
     }
+    const double calibrate_ms = std::chrono::duration<double, std::milli>(
+                                    std::chrono::steady_clock::now() - calibrate_start)
+                                    .count();
 
     // The merge-and-convergence loop, shared with the fleet coordinator:
     // basic Hd classes suffice for chain modes; pairs mode monitors
@@ -1531,6 +1519,7 @@ std::vector<CharacterizationRecord> Characterizer::collect_records(
         options.stats->emulation_passes = emulation_passes;
         options.stats->calibration_pairs = calibration.event_pairs;
         options.stats->calibration_scale = calibration.scale;
+        options.stats->calibrate_ms = calibrate_ms;
     }
     return records;
 }
@@ -1743,31 +1732,34 @@ std::vector<std::vector<CharacterizationRecord>> Characterizer::collect_records_
     const util::ThreadPool pool{options.threads};
     const bool emulation = options.backend == CharBackend::PowerEmulation;
 
-    // Per-corner scoring weights. Emulation: each corner keeps its own
-    // glitch calibration at its own derived context — the calibration
-    // stimulus is corner-independent, so each weight vector is exactly
-    // what an independent single-corner run would compute. Event kernel:
-    // corner 0 needs no weights (it is simulated exactly); corners k > 0
-    // get transfer weights calibrated across all corners at once.
+    // Per-corner scoring weights, every corner calibrated concurrently on
+    // one (corner × calibration shard) grid. Emulation: each corner keeps
+    // its own glitch calibration at its own derived context — the
+    // calibration stimulus is corner-independent, so each weight vector is
+    // exactly what an independent single-corner run would compute. Event
+    // kernel: corner 0 needs no weights (it is simulated exactly); corners
+    // k > 0 get transfer weights calibrated against corner 0.
     std::vector<std::vector<double>> weight_sets;
     std::uint64_t emulation_calibration_pairs = 0;
     double calibration_scale = 1.0;
     CornerTransferResult transfer;
+    const auto calibrate_start = std::chrono::steady_clock::now();
     if (emulation) {
+        std::vector<CalibrationResult> calibrations =
+            calibrate_emulation(context_ptrs, m, mode, options, sim_options_, pool);
+        calibration_scale = calibrations[0].scale;
         weight_sets.reserve(corners);
-        for (std::size_t k = 0; k < corners; ++k) {
-            CalibrationResult cal = calibrate_emulation(*context_ptrs[k], m, mode,
-                                                        options, sim_options_, pool);
+        for (CalibrationResult& cal : calibrations) {
             emulation_calibration_pairs += cal.event_pairs;
-            if (k == 0) {
-                calibration_scale = cal.scale;
-            }
             weight_sets.push_back(std::move(cal.weights));
         }
     } else if (corners > 1) {
         transfer = calibrate_corner_transfer(context_ptrs, m, mode, options,
                                              sim_options_, pool);
     }
+    const double calibrate_ms = std::chrono::duration<double, std::milli>(
+                                    std::chrono::steady_clock::now() - calibrate_start)
+                                    .count();
 
     // One merger per corner, each running the identical merge-and-convergence
     // loop its independent single-corner run would — so each corner's
@@ -2026,6 +2018,7 @@ std::vector<std::vector<CharacterizationRecord>> Characterizer::collect_records_
         options.stats->calibration_scale = calibration_scale;
         options.stats->corners = corners;
         options.stats->corner_calibration_pairs = transfer.event_pairs;
+        options.stats->calibrate_ms = calibrate_ms;
     }
     return records;
 }

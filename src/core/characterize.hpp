@@ -114,6 +114,9 @@ struct CharRunStats {
     std::uint64_t emulation_passes = 0; ///< 64-lane zero-delay settle passes
     std::uint64_t calibration_pairs = 0; ///< event-kernel pairs run for calibration
     double calibration_scale = 1.0; ///< fitted residual glitch scale (1 = none)
+    /// Steady-clock wall time of the calibration phase (glitch or corner
+    /// transfer), part of collect_wall_ms.
+    double calibrate_ms = 0.0;
 
     /// Corners scored by a multi-corner sweep (0 = single-corner run), and
     /// the event-kernel transitions spent on the per-corner transfer
@@ -296,8 +299,10 @@ public:
     /// Element k of the result aligns with options.corners[k]. Convergence
     /// is tracked per corner (a corner's record stream stops exactly where
     /// its independent run would); the sweep runs until every corner has
-    /// converged or the budget is exhausted. Checkpointing appends ".c<k>"
-    /// per corner to options.checkpoint; resume is bit-identical.
+    /// converged or the budget is exhausted. The calibrations of all
+    /// corners run concurrently, one task per (corner, calibration shard).
+    /// Checkpointing appends ".c<k>" per corner to options.checkpoint;
+    /// resume is bit-identical.
     [[nodiscard]] std::vector<std::vector<CharacterizationRecord>>
     collect_records_corners(const dp::DatapathModule& module,
                             const CharacterizationOptions& options) const;

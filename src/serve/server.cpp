@@ -469,9 +469,10 @@ std::vector<std::uint8_t> Server::handle_estimate(WireReader& reader,
     }
     const auto type = static_cast<dp::ModuleType>(request.module_type);
 
-    std::vector<int> widths;
+    // Validation only: the model cache and library expand the request's
+    // widths themselves, and expanding twice rejects mac and barrel_shifter.
     try {
-        widths = dp::expand_operand_widths(type, request.widths);
+        (void)dp::expand_operand_widths(type, request.widths);
     } catch (const util::PreconditionError& error) {
         counters_.errors.fetch_add(1, std::memory_order_relaxed);
         return encode_error(static_cast<std::uint8_t>(StatusCode::UnknownModule),
@@ -493,7 +494,7 @@ std::vector<std::uint8_t> Server::handle_estimate(WireReader& reader,
 
     const Clock::time_point start = Clock::now();
     const std::shared_ptr<const ServedModel> model =
-        models_->get(type, widths, request.kind == ModelKind::Enhanced,
+        models_->get(type, request.widths, request.kind == ModelKind::Enhanced,
                      request.zero_clusters, request.corner);
 
     EstimateReply reply;

@@ -53,10 +53,12 @@ CharacterizationOptions sweep_options(CharBackend backend, unsigned threads)
 /// Independent single-corner run under the same plan.
 std::vector<CharacterizationRecord> collect_single(const DatapathModule& module,
                                                    CharBackend backend,
-                                                   const gate::Corner& corner)
+                                                   const gate::Corner& corner,
+                                                   std::size_t calibration_pairs = 256)
 {
     const Characterizer characterizer;
     CharacterizationOptions options = sweep_options(backend, 1);
+    options.calibration_pairs = calibration_pairs;
     options.corner = corner;
     return characterizer.collect_records(module, options);
 }
@@ -87,26 +89,38 @@ struct AbortRun {};
 
 TEST(CornerSweep, EmulationSweepIsBitIdenticalToIndependentRunsAcrossThreads)
 {
+    // The sweep calibrates every corner on one (corner x calibration shard)
+    // task grid. Two calibration layouts: 256 pairs span two shards of 150
+    // per corner (a 6-cell grid), 150 pairs fit one shard per corner (the
+    // default layout, a 3-cell grid). 3 and 4 threads leave the grid
+    // unevenly split, so cells of different corners run side by side.
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
-    std::vector<std::vector<CharacterizationRecord>> independent;
-    for (const gate::Corner& corner : kCorners) {
-        independent.push_back(
-            collect_single(module, CharBackend::PowerEmulation, corner));
-    }
     const Characterizer characterizer;
-    for (const unsigned threads : {1U, 4U}) {
-        CharacterizationOptions options =
-            sweep_options(CharBackend::PowerEmulation, threads);
-        options.corners = kCorners;
-        CharRunStats stats;
-        options.stats = &stats;
-        const auto sweep = characterizer.collect_records_corners(module, options);
-        ASSERT_EQ(sweep.size(), kCorners.size());
-        EXPECT_EQ(stats.corners, kCorners.size());
-        for (std::size_t k = 0; k < kCorners.size(); ++k) {
-            expect_identical_records(independent[k], sweep[k],
-                                     "emulation corner " + std::to_string(k) +
-                                         " @" + std::to_string(threads) + "t");
+    for (const std::size_t calibration_pairs : {std::size_t{256}, std::size_t{150}}) {
+        std::vector<std::vector<CharacterizationRecord>> independent;
+        for (const gate::Corner& corner : kCorners) {
+            independent.push_back(collect_single(module, CharBackend::PowerEmulation,
+                                                 corner, calibration_pairs));
+        }
+        for (const unsigned threads : {1U, 3U, 4U}) {
+            CharacterizationOptions options =
+                sweep_options(CharBackend::PowerEmulation, threads);
+            options.calibration_pairs = calibration_pairs;
+            options.corners = kCorners;
+            CharRunStats stats;
+            options.stats = &stats;
+            const auto sweep = characterizer.collect_records_corners(module, options);
+            ASSERT_EQ(sweep.size(), kCorners.size());
+            EXPECT_EQ(stats.corners, kCorners.size());
+            EXPECT_EQ(stats.calibration_pairs, calibration_pairs * kCorners.size());
+            EXPECT_GT(stats.calibrate_ms, 0.0);
+            for (std::size_t k = 0; k < kCorners.size(); ++k) {
+                expect_identical_records(independent[k], sweep[k],
+                                         "emulation corner " + std::to_string(k) + " @" +
+                                             std::to_string(threads) + "t, " +
+                                             std::to_string(calibration_pairs) +
+                                             " calibration pairs");
+            }
         }
     }
 }
@@ -145,7 +159,8 @@ TEST(CornerSweep, EventSweepIsBitIdenticalAcrossThreadCounts)
 {
     // The transfer-weight path (calibration included) must be a pure
     // function of the plan: any thread count produces the same bytes for
-    // every corner, approximated ones included.
+    // every corner, approximated ones included. The 1-thread baseline runs
+    // the (corner x calibration shard) grid in serial order.
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
     const Characterizer characterizer;
     CharacterizationOptions baseline_options =
@@ -153,7 +168,7 @@ TEST(CornerSweep, EventSweepIsBitIdenticalAcrossThreadCounts)
     baseline_options.corners = kCorners;
     const auto baseline =
         characterizer.collect_records_corners(module, baseline_options);
-    for (const unsigned threads : {2U, 4U}) {
+    for (const unsigned threads : {2U, 3U, 4U}) {
         CharacterizationOptions options =
             sweep_options(CharBackend::EventKernel, threads);
         options.corners = kCorners;

@@ -134,6 +134,43 @@ TEST(Serve, EstimateBitIdenticalToDirectEngine)
     EXPECT_EQ(enhanced.estimate_fc, engine.estimate(enhanced_model, trace));
 }
 
+TEST(Serve, MacAndBarrelShifterEstimatesMatchDirectEngine)
+{
+    // Regression: the daemon expanded the request widths before the model
+    // cache expanded them again, so mac {4} reached the library as
+    // {4, 4, 8} and barrel_shifter {8} as {8, 3} — both rejected as
+    // UnknownModule. The wire carries the widths a caller would pass to
+    // make_module; the daemon must serve them as given.
+    const serve::ServerOptions options = quick_options("widths.sock");
+    serve::Server server{options};
+    server.start();
+    serve::ServeClient client = serve::ServeClient::connect_unix(options.unix_path);
+    const core::ModelLibrary library{options.models_dir};
+    core::EstimationEngine engine;
+
+    for (const dp::ModuleType type : {dp::ModuleType::Mac, dp::ModuleType::BarrelShifter}) {
+        const std::vector<int> widths = type == dp::ModuleType::Mac ? std::vector<int>{4}
+                                                                    : std::vector<int>{8};
+        const dp::DatapathModule module = dp::make_module(type, widths);
+        const auto operands =
+            core::make_operand_streams(module, streams::DataType::Music, 256, 41);
+        const streams::PackedTrace trace =
+            streams::PackedTrace::from_operands(operands, module.operand_widths());
+
+        serve::EstimateRequest request;
+        request.trace_id = client.register_trace(trace);
+        request.module_type = static_cast<std::uint8_t>(type);
+        request.widths = widths;
+        const serve::EstimateReply reply = client.estimate(request);
+
+        const core::HdModel hd = library.get_or_characterize(type, widths, quick_char());
+        EXPECT_EQ(reply.estimate_fc, engine.estimate(hd, trace)) << dp::module_type_id(type);
+        EXPECT_EQ(reply.cycles, trace.cycles()) << dp::module_type_id(type);
+    }
+    EXPECT_EQ(server.stats_snapshot().errors, 0U);
+    server.drain();
+}
+
 TEST(Serve, MmapTraceFileRoundTrip)
 {
     const serve::ServerOptions options = quick_options("mmap.sock");
