@@ -647,14 +647,16 @@ std::string run_char_backend()
 }
 
 /// Multi-corner amortization on the 16-bit CSA multiplier: K = 8 operating
-/// corners characterized as 8 independent single-corner runs versus one
-/// collect_records_corners sweep, per backend. The event kernel simulates
-/// only the reference corner exactly and scores the rest through calibrated
-/// transfer weights — the tentpole claim is ≥ 5× end-to-end amortization.
-/// The emulation backend's per-corner sweep blocks must additionally be
-/// bit-identical to the independent runs (verified record by record).
-/// Returns a JSON fragment for BENCH_speed.json.
-std::string run_multi_corner()
+/// corners of one load class characterized as 8 independent single-corner
+/// runs versus one collect_records_corners sweep, per backend. The event
+/// kernel simulates each shard once and replays every corner's charge from
+/// the toggle log; the emulation backend runs one glitch calibration for
+/// all 8 corners. The claim is ≥ 5× end-to-end event-kernel amortization,
+/// and on both backends every corner's sweep block must be bit-identical
+/// to its independent run (verified record by record; @p bit_identical
+/// is cleared when any record differs). Returns a JSON fragment for
+/// BENCH_speed.json.
+std::string run_multi_corner(bool& bit_identical)
 {
     const dp::DatapathModule module = dp::make_module(dp::ModuleType::CsaMultiplier, 16);
 
@@ -680,7 +682,7 @@ std::string run_multi_corner()
         double independent_ms = 0.0;
         double sweep_ms = 0.0;
         double amortization = 0.0;
-        bool bit_identical = true; ///< checked for emulation only
+        bool bit_identical = true; ///< every corner's block equals its independent run
     };
     const core::Characterizer characterizer;
     std::vector<BackendRun> backends;
@@ -720,21 +722,18 @@ std::string run_multi_corner()
         }
         run.amortization = run.independent_ms / run.sweep_ms;
 
-        if (backend == core::CharBackend::PowerEmulation) {
-            for (std::size_t k = 0; k < corners.size() && run.bit_identical; ++k) {
-                if (sweep[k].size() != independent[k].size()) {
+        for (std::size_t k = 0; k < corners.size() && run.bit_identical; ++k) {
+            if (sweep[k].size() != independent[k].size()) {
+                run.bit_identical = false;
+                break;
+            }
+            for (std::size_t i = 0; i < sweep[k].size(); ++i) {
+                const auto& a = independent[k][i];
+                const auto& b = sweep[k][i];
+                if (a.hd != b.hd || a.stable_zeros != b.stable_zeros ||
+                    a.toggle_mask != b.toggle_mask || a.charge_fc != b.charge_fc) {
                     run.bit_identical = false;
                     break;
-                }
-                for (std::size_t i = 0; i < sweep[k].size(); ++i) {
-                    const auto& a = independent[k][i];
-                    const auto& b = sweep[k][i];
-                    if (a.hd != b.hd || a.stable_zeros != b.stable_zeros ||
-                        a.toggle_mask != b.toggle_mask ||
-                        a.charge_fc != b.charge_fc) {
-                        run.bit_identical = false;
-                        break;
-                    }
                 }
             }
         }
@@ -743,17 +742,16 @@ std::string run_multi_corner()
 
     util::TextTable table;
     table.set_header({"backend", "8 independent [ms]", "1 sweep [ms]",
-                      "amortization", "emulation bit-identical"});
+                      "amortization", "bit-identical"});
     for (const BackendRun& run : backends) {
         table.add_row({core::char_backend_name(run.backend),
                        util::TextTable::fmt(run.independent_ms, 1),
                        util::TextTable::fmt(run.sweep_ms, 1),
                        util::TextTable::fmt(run.amortization, 1) + "x",
-                       run.backend == core::CharBackend::PowerEmulation
-                           ? (run.bit_identical ? "yes" : "NO — DETERMINISM BUG")
-                           : "n/a (corner 0 exact)"});
+                       run.bit_identical ? "yes" : "NO — DETERMINISM BUG"});
     }
     table.print(std::cout);
+    bit_identical = backends[0].bit_identical && backends[1].bit_identical;
     std::cout << "event-kernel 8-corner sweep amortization: "
               << util::TextTable::fmt(backends[0].amortization, 1)
               << "x (target >= 5x)\n";
@@ -764,6 +762,8 @@ std::string run_multi_corner()
          << "    \"corners\": " << corners.size()
          << ",\n    \"pairs\": " << base.max_transitions
          << ",\n    \"calibration_pairs\": " << base.calibration_pairs
+         << ",\n    \"event_bit_identical\": "
+         << (backends[0].bit_identical ? "true" : "false")
          << ",\n    \"emulation_bit_identical\": "
          << (backends[1].bit_identical ? "true" : "false") << ",\n    \"runs\": [";
     for (std::size_t i = 0; i < backends.size(); ++i) {
@@ -1433,8 +1433,9 @@ int main(int argc, char** argv)
     if (char_backend) {
         sections.push_back(run_char_backend());
     }
+    bool corners_bit_identical = true;
     if (multi_corner) {
-        sections.push_back(run_multi_corner());
+        sections.push_back(run_multi_corner(corners_bit_identical));
     }
     if (checkpoint) {
         sections.push_back(run_checkpoint_bench());
@@ -1455,5 +1456,7 @@ int main(int argc, char** argv)
         json << "}\n";
         std::cout << "[json] wrote BENCH_speed.json\n";
     }
-    return 0;
+    // A sweep that is not bit-identical to its independent runs is a
+    // determinism bug, not a slow result: fail the run (and the CI leg).
+    return corners_bit_identical ? 0 : 1;
 }

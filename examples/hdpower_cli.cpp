@@ -366,14 +366,9 @@ int cmd_characterize_corners(const Cli& cli)
     const dp::DatapathModule module = dp::make_module(cli.module_type, cli.widths);
     const core::Characterizer characterizer;
 
-    // Store policy: the emulation backend's per-corner sweep blocks are
-    // bit-identical to independent single-corner runs, so every corner may
-    // be published under its exact single-corner fingerprint. The event
-    // backend simulates only corner 0 exactly — corners k > 0 are scored
-    // through calibrated transfer weights (an approximation) and must NOT
-    // alias the exact fingerprint a later single-corner run would use.
-    const bool store_all = options.backend == core::CharBackend::PowerEmulation;
-
+    // Every corner's sweep block is bit-identical to an independent
+    // single-corner run on both backends, so every corner is published
+    // under its exact single-corner fingerprint.
     std::vector<core::HdModel> basic;
     std::vector<core::EnhancedHdModel> enhanced;
     if (cli.enhanced) {
@@ -389,30 +384,24 @@ int cmd_characterize_corners(const Cli& cli)
     const bool degraded = report_shard_failures(stats);
 
     util::TextTable table;
-    table.set_header({"corner", "key", "avg deviation", "stored"});
+    table.set_header({"corner", "key", "avg deviation"});
     table.set_alignment({util::Align::Left, util::Align::Left});
     for (std::size_t k = 0; k < cli.corners.size(); ++k) {
         const gate::Corner& corner = cli.corners[k];
-        const bool store = store_all || k == 0;
         core::CharacterizationOptions store_options = char_options(cli);
         store_options.corner = corner;
         const double deviation = cli.enhanced ? enhanced[k].average_deviation()
                                               : basic[k].average_deviation();
-        if (store) {
-            if (cli.enhanced) {
-                library.store_enhanced(cli.module_type, cli.widths,
-                                       cli.zero_clusters, store_options,
-                                       enhanced[k]);
-            } else {
-                library.store_basic(cli.module_type, cli.widths, store_options,
-                                    basic[k]);
-            }
+        if (cli.enhanced) {
+            library.store_enhanced(cli.module_type, cli.widths, cli.zero_clusters,
+                                   store_options, enhanced[k]);
+        } else {
+            library.store_basic(cli.module_type, cli.widths, store_options, basic[k]);
         }
         table.add_row({util::TextTable::fmt(corner.vdd_v, 2) + " V, " +
                            util::TextTable::fmt(corner.temp_c, 1) + " C, " +
                            gate::load_class_name(corner.load_class),
-                       corner.key(), util::TextTable::fmt(100.0 * deviation, 2) + "%",
-                       store ? "yes" : "no (transfer approximation)"});
+                       corner.key(), util::TextTable::fmt(100.0 * deviation, 2) + "%"});
     }
     std::cout << (cli.enhanced ? "enhanced" : "basic") << " models ready for "
               << cli.corners.size() << " corner(s) from one stimulus sweep\n";
@@ -428,10 +417,6 @@ int cmd_characterize_corners(const Cli& cli)
         if (stats.backend == core::CharBackend::PowerEmulation) {
             std::cout << " (" << stats.emulated_pairs << " emulated pair scores, "
                       << stats.calibration_pairs << " calibration pairs in "
-                      << util::TextTable::fmt(stats.calibrate_ms, 1) << " ms)";
-        } else if (stats.corner_calibration_pairs > 0) {
-            std::cout << " (" << stats.corner_calibration_pairs
-                      << " transfer-calibration pairs in "
                       << util::TextTable::fmt(stats.calibrate_ms, 1) << " ms)";
         }
         std::cout << '\n';

@@ -122,16 +122,6 @@ Characterizer::Characterizer(const gate::TechLibrary& library,
 
 namespace {
 
-/// Result of one independently simulated stimulus shard.
-struct ShardResult {
-    std::vector<CharacterizationRecord> records;
-    std::uint64_t sim_transitions = 0; ///< net toggles (event: incl. glitches)
-    std::uint64_t warmup_vectors = 0;  ///< pairs-mode warm-up vectors settled
-    std::uint64_t warmup_batches = 0;  ///< 64-lane batched settle passes
-    std::uint64_t emulation_passes = 0; ///< 64-lane zero-delay settle passes
-    sim::KernelStats kernel;           ///< scheduler counters of the shard's simulator
-};
-
 /// One shard's deterministic stimulus stream, factored out of the shard
 /// runners so the event kernel, the power-emulation backend, and the
 /// glitch-calibration pass all draw *identical* (u, v) sequences for a
@@ -227,115 +217,182 @@ private:
     BitVec current_;
 };
 
-/// Simulate exactly @p count transitions of shard @p shard. Each shard is a
-/// self-contained stimulus stream: its own Rng (seeded seed^splitmix64(shard)
-/// so shard streams are decorrelated), its own stratification cycles, its
-/// own start vector, and its own EventSimulator over the shared immutable
-/// context. Nothing here depends on which thread runs the shard or on how
-/// many shards run concurrently — that is the whole determinism argument.
+/// One shard of a sweep over one or more corners: K index-aligned record
+/// blocks plus the shard's work counters.
+struct ShardResult {
+    std::vector<std::vector<CharacterizationRecord>> blocks; // per corner
+    std::uint64_t sim_transitions = 0; ///< net toggles (event: incl. glitches)
+    std::uint64_t warmup_vectors = 0;  ///< pairs-mode warm-up vectors settled
+    std::uint64_t warmup_batches = 0;  ///< 64-lane batched settle passes
+    std::uint64_t emulation_passes = 0; ///< 64-lane zero-delay settle passes
+    sim::KernelStats kernel;           ///< scheduler counters, summed over simulators
+};
+
+/// The indices of @p contexts grouped by simulated timing, each group in
+/// index order and the groups in order of their first member. Members of a
+/// group pass SimContext::same_timing, so under one EventSimOptions (one
+/// inertial window) they run the same event trajectory for every stimulus:
+/// the operating corners of one load class form one group.
+std::vector<std::vector<std::size_t>> timing_groups(
+    std::span<const sim::SimContext* const> contexts)
+{
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t k = 0; k < contexts.size(); ++k) {
+        const auto group = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
+            return contexts[g.front()]->same_timing(*contexts[k]);
+        });
+        if (group == groups.end()) {
+            groups.push_back({k});
+        } else {
+            group->push_back(k);
+        }
+    }
+    return groups;
+}
+
+/// Event-kernel shard over the corners in @p contexts: exactly @p count
+/// transitions of shard @p shard, simulated once per timing group at the
+/// group's first context. That corner's block takes apply()'s charges; the
+/// group's other corners replay the cycle's toggle log under their own
+/// edge charges (EventSimulator::replay_charge), the same additions in the
+/// same order — so every corner's block is bit-identical to an independent
+/// single-corner run at that corner.
+///
+/// Each group's pass is a self-contained stimulus stream: its own Rng
+/// (seeded seed^splitmix64(shard) so shard streams are decorrelated), its
+/// own stratification cycles, its own start vector, and its own
+/// EventSimulator over the shared immutable context. Nothing here depends
+/// on which thread runs the shard or on how many shards run concurrently —
+/// that is the whole determinism argument.
+ShardResult run_shard_event_multi(std::span<const sim::SimContext* const> contexts,
+                                       std::span<const std::vector<std::size_t>> groups,
+                                       int m, StimulusMode mode,
+                                       const CharacterizationOptions& options,
+                                       const sim::EventSimOptions& sim_options,
+                                       std::size_t shard, std::size_t count,
+                                       const std::function<void()>& tick = {})
+{
+    if (HDPM_FAULT_FIRE(util::FaultPoint::ShardException)) {
+        util::FaultContext fault_context;
+        fault_context.shard = static_cast<std::int64_t>(shard);
+        fault_context.detail = "injected shard failure";
+        throw util::FaultError{util::FaultKind::ShardFailed, std::move(fault_context)};
+    }
+
+    ShardResult out;
+    out.blocks.resize(contexts.size());
+    for (auto& block : out.blocks) {
+        block.reserve(count);
+    }
+
+    for (const std::vector<std::size_t>& group : groups) {
+        const sim::SimContext& context = *contexts[group.front()];
+        std::vector<CharacterizationRecord>& lead = out.blocks[group.front()];
+        StimulusStream stimulus{m, mode, options.seed, shard};
+        sim::EventSimulator simulator{context, sim_options};
+        simulator.set_toggle_log(group.size() > 1);
+
+        const auto push_records = [&](int hd, int zeros, std::uint64_t mask,
+                                      const sim::CycleResult& cycle) {
+            CharacterizationRecord rec;
+            rec.hd = hd;
+            rec.stable_zeros = zeros;
+            rec.charge_fc = cycle.charge_fc;
+            rec.toggle_mask = mask;
+            lead.push_back(rec);
+            for (std::size_t j = 1; j < group.size(); ++j) {
+                rec.charge_fc =
+                    simulator.replay_charge(contexts[group[j]]->edge_charges_fc());
+                out.blocks[group[j]].push_back(rec);
+            }
+            out.sim_transitions += cycle.transitions;
+        };
+
+        if (mode == StimulusMode::StratifiedPairs) {
+            // Stimulus is generated in blocks of up to kLanes (u, v) pairs
+            // into flat reusable arenas, then all warm-up vectors of a block
+            // settle in one word-parallel BatchedEvaluator pass (borrowing
+            // the shard's compiled view) and each lane is scattered into the
+            // event simulator via load_state before the timed apply. RNG
+            // consumption order is identical to per-record generation, and
+            // the zero-delay fixpoint of u is unique, so records are
+            // bit-identical to the WarmupMode::PerRecord baseline. The loop
+            // body performs no heap allocation in steady state
+            // (tests/steady_alloc_test.cpp).
+            constexpr std::size_t kLanes =
+                static_cast<std::size_t>(sim::BatchedEvaluator::kLanes);
+            const bool batched = options.warmup == WarmupMode::Batched;
+            std::optional<sim::BatchedEvaluator> evaluator;
+            std::vector<std::uint8_t> lane_values;
+            if (batched) {
+                evaluator.emplace(context);
+                lane_values.resize(context.netlist().num_nets());
+            }
+            std::array<BitVec, kLanes> u_block;
+            std::array<BitVec, kLanes> v_block;
+            std::array<std::pair<int, int>, kLanes> cls_block; // (hd, zeros)
+
+            while (lead.size() < count) {
+                if (tick) {
+                    tick(); // mid-shard heartbeat hook, once per 64-pair batch
+                }
+                const std::size_t block = std::min<std::size_t>(kLanes, count - lead.size());
+                for (std::size_t j = 0; j < block; ++j) {
+                    cls_block[j] = stimulus.next_pair(u_block[j], v_block[j]);
+                }
+                if (batched) {
+                    evaluator->settle({u_block.data(), block});
+                    ++out.warmup_batches;
+                }
+                out.warmup_vectors += block;
+                for (std::size_t j = 0; j < block; ++j) {
+                    if (batched) {
+                        evaluator->export_lane(static_cast<int>(j), lane_values);
+                        simulator.load_state(u_block[j], lane_values);
+                    } else {
+                        simulator.initialize(u_block[j]);
+                    }
+                    const sim::CycleResult cycle = simulator.apply(v_block[j]);
+                    push_records(cls_block[j].first, cls_block[j].second,
+                                 (u_block[j] ^ v_block[j]).raw(), cycle);
+                }
+            }
+        } else {
+            simulator.initialize(stimulus.current());
+            while (lead.size() < count) {
+                if (tick && lead.size() % 64 == 0) {
+                    tick(); // mid-shard heartbeat hook, every 64 chain transitions
+                }
+                const BitVec previous = stimulus.current();
+                const BitVec next = stimulus.chain_next();
+                const int hd = BitVec::hamming_distance(previous, next);
+                if (hd == 0) {
+                    continue; // Hd = 0 transitions carry no class information
+                }
+                const sim::CycleResult cycle = simulator.apply(next);
+                push_records(hd, BitVec::stable_zeros(previous, next),
+                             (previous ^ next).raw(), cycle);
+            }
+        }
+        const sim::KernelStats& kernel = simulator.kernel_stats();
+        out.kernel.events_processed += kernel.events_processed;
+        out.kernel.max_queue_depth =
+            std::max(out.kernel.max_queue_depth, kernel.max_queue_depth);
+    }
+    return out;
+}
+
+/// Simulate exactly @p count transitions of shard @p shard at one context:
+/// the single-corner case of run_shard_event_multi.
 ShardResult run_shard(const sim::SimContext& context, int m, StimulusMode mode,
                       const CharacterizationOptions& options,
                       const sim::EventSimOptions& sim_options, std::size_t shard,
                       std::size_t count, const std::function<void()>& tick = {})
 {
-    if (HDPM_FAULT_FIRE(util::FaultPoint::ShardException)) {
-        util::FaultContext context;
-        context.shard = static_cast<std::int64_t>(shard);
-        context.detail = "injected shard failure";
-        throw util::FaultError{util::FaultKind::ShardFailed, std::move(context)};
-    }
-
-    ShardResult out;
-    out.records.reserve(count);
-
-    StimulusStream stimulus{m, mode, options.seed, shard};
-    sim::EventSimulator simulator{context, sim_options};
-    if (mode != StimulusMode::StratifiedPairs) {
-        simulator.initialize(stimulus.current());
-    }
-
-    if (mode == StimulusMode::StratifiedPairs) {
-        // Stimulus is generated in blocks of up to kLanes (u, v) pairs into
-        // flat reusable arenas, then all warm-up vectors of a block settle
-        // in one word-parallel BatchedEvaluator pass (borrowing the shard's
-        // compiled view) and each lane is scattered into the event
-        // simulator via load_state before the timed apply. RNG consumption
-        // order is identical to per-record generation, and the zero-delay
-        // fixpoint of u is unique, so records are bit-identical to the
-        // WarmupMode::PerRecord baseline. The loop body performs no heap
-        // allocation in steady state (tests/steady_alloc_test.cpp).
-        constexpr std::size_t kLanes =
-            static_cast<std::size_t>(sim::BatchedEvaluator::kLanes);
-        const bool batched = options.warmup == WarmupMode::Batched;
-        std::optional<sim::BatchedEvaluator> evaluator;
-        std::vector<std::uint8_t> lane_values;
-        if (batched) {
-            evaluator.emplace(context);
-            lane_values.resize(context.netlist().num_nets());
-        }
-
-        std::array<BitVec, kLanes> u_block;
-        std::array<BitVec, kLanes> v_block;
-        std::array<std::pair<int, int>, kLanes> cls_block; // (hd, zeros)
-
-        while (out.records.size() < count) {
-            if (tick) {
-                tick(); // mid-shard heartbeat hook, once per 64-pair batch
-            }
-            const std::size_t block =
-                std::min<std::size_t>(kLanes, count - out.records.size());
-            for (std::size_t j = 0; j < block; ++j) {
-                cls_block[j] = stimulus.next_pair(u_block[j], v_block[j]);
-            }
-
-            if (batched) {
-                evaluator->settle({u_block.data(), block});
-                ++out.warmup_batches;
-            }
-            out.warmup_vectors += block;
-
-            for (std::size_t j = 0; j < block; ++j) {
-                if (batched) {
-                    evaluator->export_lane(static_cast<int>(j), lane_values);
-                    simulator.load_state(u_block[j], lane_values);
-                } else {
-                    simulator.initialize(u_block[j]);
-                }
-                const sim::CycleResult cycle = simulator.apply(v_block[j]);
-                CharacterizationRecord rec;
-                rec.hd = cls_block[j].first;
-                rec.stable_zeros = cls_block[j].second;
-                rec.charge_fc = cycle.charge_fc;
-                rec.toggle_mask = (u_block[j] ^ v_block[j]).raw();
-                out.sim_transitions += cycle.transitions;
-                out.records.push_back(rec);
-            }
-        }
-        out.kernel = simulator.kernel_stats();
-        return out;
-    }
-
-    while (out.records.size() < count) {
-        if (tick && out.records.size() % 64 == 0) {
-            tick(); // mid-shard heartbeat hook, every 64 chain transitions
-        }
-        CharacterizationRecord rec;
-        const BitVec previous = stimulus.current();
-        const BitVec next = stimulus.chain_next();
-        const int hd = BitVec::hamming_distance(previous, next);
-        if (hd == 0) {
-            continue; // Hd = 0 transitions carry no class information
-        }
-        const sim::CycleResult cycle = simulator.apply(next);
-        rec.hd = hd;
-        rec.stable_zeros = BitVec::stable_zeros(previous, next);
-        rec.charge_fc = cycle.charge_fc;
-        rec.toggle_mask = (previous ^ next).raw();
-        out.sim_transitions += cycle.transitions;
-        out.records.push_back(rec);
-    }
-    out.kernel = simulator.kernel_stats();
-    return out;
+    const sim::SimContext* const only = &context;
+    const std::vector<std::size_t> group{0};
+    return run_shard_event_multi({&only, 1}, {&group, 1}, m, mode, options, sim_options,
+                                 shard, count, tick);
 }
 
 /// Power-emulation shard: the *exact* stimulus stream run_shard would draw
@@ -360,7 +417,8 @@ ShardResult run_shard_emulation(const sim::SimContext& context, int m,
     }
 
     ShardResult out;
-    out.records.reserve(count);
+    std::vector<CharacterizationRecord>& records = out.blocks.emplace_back();
+    records.reserve(count);
     StimulusStream stimulus{m, mode, options.seed, shard};
     sim::BatchedEvaluator evaluator{context};
 
@@ -372,12 +430,12 @@ ShardResult run_shard_emulation(const sim::SimContext& context, int m,
         std::array<std::pair<int, int>, kLanes> cls_block; // (hd, zeros)
         std::array<double, kLanes> charges;
 
-        while (out.records.size() < count) {
+        while (records.size() < count) {
             if (tick) {
                 tick(); // mid-shard heartbeat hook, once per 64-pair batch
             }
             const std::size_t block =
-                std::min<std::size_t>(kLanes, count - out.records.size());
+                std::min<std::size_t>(kLanes, count - records.size());
             for (std::size_t j = 0; j < block; ++j) {
                 cls_block[j] = stimulus.next_pair(u_block[j], v_block[j]);
             }
@@ -393,7 +451,7 @@ ShardResult run_shard_emulation(const sim::SimContext& context, int m,
                 rec.stable_zeros = cls_block[j].second;
                 rec.charge_fc = charges[j];
                 rec.toggle_mask = (u_block[j] ^ v_block[j]).raw();
-                out.records.push_back(rec);
+                records.push_back(rec);
             }
         }
         return out;
@@ -438,7 +496,7 @@ ShardResult run_shard_emulation(const sim::SimContext& context, int m,
         rec.charge_fc = charges[i];
         rec.toggle_mask = (chain[i] ^ chain[i + 1]).raw();
         out.sim_transitions += toggles[i];
-        out.records.push_back(rec);
+        records.push_back(rec);
     }
     return out;
 }
@@ -469,30 +527,46 @@ std::vector<double> base_charge_weights(const sim::SimContext& context,
     return weights;
 }
 
-/// One calibration shard's aggregates: the same stimulus stream driven
-/// through *both* engines.
+/// One calibration shard of one timing group: the same stimulus stream
+/// driven through *both* engines. The toggle counts are shared by every
+/// corner of the group; the event charge is per corner.
 struct CalibrationShard {
     std::vector<std::uint64_t> event_toggles; ///< per net, timed applies only
     std::vector<std::uint64_t> zero_toggles;  ///< per net, zero-delay settles
-    double event_charge_fc = 0.0;             ///< event-kernel charge, summed
+    std::vector<double> event_charge_fc;      ///< per group member, summed
     std::uint64_t pairs = 0;                  ///< transitions simulated
 };
 
-CalibrationShard run_calibration_shard(const sim::SimContext& context, int m,
-                                       StimulusMode mode,
+/// Run calibration shard @p shard_id once at the group's first context and
+/// score every member: the first from apply(), the others by replaying the
+/// cycle's toggle log under their own edge charges — bit-identical to
+/// simulating each member on its own (see run_shard_event_multi).
+CalibrationShard run_calibration_shard(std::span<const sim::SimContext* const> members,
+                                       int m, StimulusMode mode,
                                        const CharacterizationOptions& options,
                                        const sim::EventSimOptions& sim_options,
                                        std::uint64_t shard_id, std::size_t count)
 {
+    const sim::SimContext& context = *members.front();
     CalibrationShard out;
     const std::size_t nets = context.netlist().num_nets();
     out.zero_toggles.assign(nets, 0);
+    out.event_charge_fc.assign(members.size(), 0.0);
 
     StimulusStream stimulus{m, mode, options.seed, shard_id};
     sim::EventSimulator simulator{context, sim_options};
+    simulator.set_toggle_log(members.size() > 1);
     sim::BatchedEvaluator evaluator{context};
     constexpr std::size_t kLanes =
         static_cast<std::size_t>(sim::BatchedEvaluator::kLanes);
+
+    const auto score = [&](const sim::CycleResult& cycle) {
+        out.event_charge_fc[0] += cycle.charge_fc;
+        for (std::size_t j = 1; j < members.size(); ++j) {
+            out.event_charge_fc[j] +=
+                simulator.replay_charge(members[j]->edge_charges_fc());
+        }
+    };
 
     if (mode == StimulusMode::StratifiedPairs) {
         std::array<BitVec, kLanes> u_block;
@@ -509,7 +583,7 @@ CalibrationShard run_calibration_shard(const sim::SimContext& context, int m,
             }
             for (std::size_t j = 0; j < block; ++j) {
                 simulator.initialize(u_block[j]);
-                out.event_charge_fc += simulator.apply(v_block[j]).charge_fc;
+                score(simulator.apply(v_block[j]));
             }
             out.pairs += block;
         }
@@ -527,7 +601,7 @@ CalibrationShard run_calibration_shard(const sim::SimContext& context, int m,
         }
         simulator.initialize(chain.front());
         for (std::size_t i = 1; i < chain.size(); ++i) {
-            out.event_charge_fc += simulator.apply(chain[i]).charge_fc;
+            score(simulator.apply(chain[i]));
         }
         // Zero-delay per-net toggles over the same chain, in overlapping
         // 64-vector windows (count_toggles' boundary contract).
@@ -557,61 +631,70 @@ CalibrationShard run_calibration_shard(const sim::SimContext& context, int m,
     return out;
 }
 
-/// The calibration shards of every corner of a plan, run as one task grid.
+/// The calibration shards of every timing group of a plan, run as one task
+/// grid.
 struct CalibrationGrid {
-    std::size_t shards_per_corner = 0;
-    std::vector<CalibrationShard> cells; ///< corner-major: [k * shards_per_corner + i]
+    std::size_t shards_per_group = 0;
+    std::vector<CalibrationShard> cells; ///< group-major: [g * shards_per_group + i]
 
-    [[nodiscard]] std::span<const CalibrationShard> corner(std::size_t k) const
+    [[nodiscard]] std::span<const CalibrationShard> group(std::size_t g) const
     {
-        return std::span{cells}.subspan(k * shards_per_corner, shards_per_corner);
+        return std::span{cells}.subspan(g * shards_per_group, shards_per_group);
     }
 };
 
-/// Run the calibration of all corners in @p contexts as one (corner ×
-/// calibration shard) pool.parallel_map. Every corner replays the same
-/// shard ids (kCalibrationShardBase + i), so every corner sees the same
-/// stimulus; a cell depends on nothing but its own (corner, shard), so the
-/// grid is bit-identical for any thread count and any task order.
+/// Run the calibration of every timing group in @p groups as one (group ×
+/// calibration shard) pool.parallel_map. Every group replays the same shard
+/// ids (kCalibrationShardBase + i), so every corner sees the same stimulus;
+/// a cell depends on nothing but its own (group, shard), so the grid is
+/// bit-identical for any thread count and any task order.
 CalibrationGrid run_calibration_grid(std::span<const sim::SimContext* const> contexts,
+                                     std::span<const std::vector<std::size_t>> groups,
                                      int m, StimulusMode mode,
                                      const CharacterizationOptions& options,
                                      const sim::EventSimOptions& sim_options,
                                      const util::ThreadPool& pool)
 {
+    std::vector<std::vector<const sim::SimContext*>> members(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        for (const std::size_t k : groups[g]) {
+            members[g].push_back(contexts[k]);
+        }
+    }
     const std::size_t shard_size =
         options.shard_size != 0 ? options.shard_size : options.batch;
     CalibrationGrid grid;
-    grid.shards_per_corner = (options.calibration_pairs + shard_size - 1) / shard_size;
+    grid.shards_per_group = (options.calibration_pairs + shard_size - 1) / shard_size;
     grid.cells = pool.parallel_map(
-        contexts.size() * grid.shards_per_corner, [&](std::size_t cell) {
-            const std::size_t k = cell / grid.shards_per_corner;
-            const std::size_t i = cell % grid.shards_per_corner;
+        groups.size() * grid.shards_per_group, [&](std::size_t cell) {
+            const std::size_t g = cell / grid.shards_per_group;
+            const std::size_t i = cell % grid.shards_per_group;
             const std::size_t planned =
                 std::min(shard_size, options.calibration_pairs - i * shard_size);
-            return run_calibration_shard(*contexts[k], m, mode, options, sim_options,
+            return run_calibration_shard(members[g], m, mode, options, sim_options,
                                          kCalibrationShardBase + i, planned);
         });
     return grid;
 }
 
-/// The emulation backend's calibrated weight vector plus its counters.
+/// The emulation backend's calibrated weight vector for one corner.
 struct CalibrationResult {
     std::vector<double> weights; ///< per-net per-toggle charge, corrected
-    std::uint64_t event_pairs = 0; ///< event-kernel transitions simulated
-    double scale = 1.0;            ///< fitted residual glitch scale
+    double scale = 1.0;          ///< fitted residual glitch scale
 };
 
-/// Fit the glitch correction of one corner from its calibration shards:
-/// per-cell-output toggle-ratio factors (event toggles / zero-delay toggles
-/// — glitches multiply a net's toggle count but never its per-toggle
-/// charge) folded into the base weights, then one residual scale fitted
-/// with util::least_squares over per-shard (corrected emulated total, event
+/// Fit the glitch correction of one corner — member @p member of the
+/// timing group whose calibration shards @p shards holds: per-cell-output
+/// toggle-ratio factors (event toggles / zero-delay toggles — glitches
+/// multiply a net's toggle count but never its per-toggle charge) folded
+/// into the base weights, then one residual scale fitted with
+/// util::least_squares over per-shard (corrected emulated total, event
 /// total) rows to absorb charge on nets the zero-delay settles never
 /// toggled. Shards merge in shard order.
 CalibrationResult fit_glitch_correction(const sim::SimContext& context,
                                         const sim::EventSimOptions& sim_options,
-                                        std::span<const CalibrationShard> shards)
+                                        std::span<const CalibrationShard> shards,
+                                        std::size_t member)
 {
     CalibrationResult out;
     out.weights = base_charge_weights(context, sim_options);
@@ -624,7 +707,6 @@ CalibrationResult fit_glitch_correction(const sim::SimContext& context,
             event_toggles[net] += shard.event_toggles[net];
             zero_toggles[net] += shard.zero_toggles[net];
         }
-        out.event_pairs += shard.pairs;
     }
 
     // Per-cell factors on the nets the calibration set exercised. Primary
@@ -651,7 +733,7 @@ CalibrationResult fit_glitch_correction(const sim::SimContext& context,
                 out.weights[net] * static_cast<double>(shards[s].zero_toggles[net]);
         }
         a.at(s, 0) = corrected;
-        b[s] = shards[s].event_charge_fc;
+        b[s] = shards[s].event_charge_fc[member];
         corrected_total += corrected;
     }
     if (corrected_total > 0.0) {
@@ -666,160 +748,57 @@ CalibrationResult fit_glitch_correction(const sim::SimContext& context,
     return out;
 }
 
-/// Calibrate every corner in @p contexts on one run_calibration_grid and
-/// fit each corner from its own shards. Calibration is a pure function of
-/// the stimulus plan and the corner, so each weight vector is bit-identical
-/// for any thread count and equal to a single-corner run's (the K = 1 call).
-std::vector<CalibrationResult> calibrate_emulation(
-    std::span<const sim::SimContext* const> contexts, int m, StimulusMode mode,
-    const CharacterizationOptions& options, const sim::EventSimOptions& sim_options,
-    const util::ThreadPool& pool)
-{
-    std::vector<CalibrationResult> results(contexts.size());
-    if (options.calibration_pairs == 0) {
-        for (std::size_t k = 0; k < contexts.size(); ++k) {
-            results[k].weights = base_charge_weights(*contexts[k], sim_options);
-        }
-        return results;
-    }
-    const CalibrationGrid grid =
-        run_calibration_grid(contexts, m, mode, options, sim_options, pool);
-    for (std::size_t k = 0; k < contexts.size(); ++k) {
-        results[k] = fit_glitch_correction(*contexts[k], sim_options, grid.corner(k));
-    }
-    return results;
-}
-
-// ---------------------------------------------------------------------------
-// Multi-corner single-sweep machinery (docs/corners.md). The amortization
-// argument: per-net toggle activity is (exactly, for zero-delay settles;
-// nearly, for the event kernel under uniform delay scaling) invariant
-// across operating corners, so one stimulus sweep can score K corners by
-// dotting shared toggle vectors against K per-corner charge tables.
-// ---------------------------------------------------------------------------
-
-/// One shard of a multi-corner sweep: K index-aligned record blocks.
-struct MultiShardResult {
-    std::vector<std::vector<CharacterizationRecord>> blocks; // per corner
-    std::uint64_t sim_transitions = 0;
-    std::uint64_t warmup_vectors = 0;
-    std::uint64_t warmup_batches = 0;
-    std::uint64_t emulation_passes = 0;
-    sim::KernelStats kernel;
+/// Every corner's glitch calibration, plus the event-kernel transitions it
+/// simulated (once per timing group, however many corners share it).
+struct EmulationCalibration {
+    std::vector<CalibrationResult> corners; ///< index-aligned with the contexts
+    std::uint64_t event_pairs = 0;
 };
 
-/// Event-kernel multi-corner shard: corner 0 is simulated exactly — the
-/// same stimulus, warm-up, and event simulation run_shard performs, so its
-/// block is bit-identical to a single-corner run — while per-cycle toggle
-/// tracking feeds the remaining corners' charges as dot products against
-/// @p transfer_weights (element k-1 scores corner k). The accumulation
-/// iterates the cycle's toggled nets in first-toggle order, a
-/// deterministic function of the simulation, so every corner's block is
-/// bit-identical for any thread count.
-MultiShardResult run_shard_event_multi(const sim::SimContext& context, int m,
-                                       StimulusMode mode,
-                                       const CharacterizationOptions& options,
-                                       const sim::EventSimOptions& sim_options,
-                                       std::span<const std::vector<double>> transfer_weights,
-                                       std::size_t shard, std::size_t count)
+/// Calibrate every corner in @p contexts on one run_calibration_grid and
+/// fit each corner from its timing group's shards. Each corner's fit reads
+/// the same toggle counts and the same event charges an independent
+/// single-corner run (the K = 1 call) computes, so its weight vector is
+/// bit-identical to that run's for any thread count.
+EmulationCalibration calibrate_emulation(std::span<const sim::SimContext* const> contexts,
+                                         int m, StimulusMode mode,
+                                         const CharacterizationOptions& options,
+                                         const sim::EventSimOptions& sim_options,
+                                         const util::ThreadPool& pool)
 {
-    if (HDPM_FAULT_FIRE(util::FaultPoint::ShardException)) {
-        util::FaultContext fault_context;
-        fault_context.shard = static_cast<std::int64_t>(shard);
-        fault_context.detail = "injected shard failure";
-        throw util::FaultError{util::FaultKind::ShardFailed, std::move(fault_context)};
-    }
-
-    const std::size_t corners = transfer_weights.size() + 1;
-    MultiShardResult out;
-    out.blocks.resize(corners);
-    for (auto& block : out.blocks) {
-        block.reserve(count);
-    }
-
-    StimulusStream stimulus{m, mode, options.seed, shard};
-    sim::EventSimulator simulator{context, sim_options};
-    simulator.set_cycle_toggle_tracking(true);
-
-    const auto push_records = [&](int hd, int zeros, std::uint64_t mask,
-                                  const sim::CycleResult& cycle) {
-        CharacterizationRecord rec;
-        rec.hd = hd;
-        rec.stable_zeros = zeros;
-        rec.charge_fc = cycle.charge_fc;
-        rec.toggle_mask = mask;
-        out.blocks[0].push_back(rec);
-        for (std::size_t k = 1; k < corners; ++k) {
-            const std::vector<double>& weights = transfer_weights[k - 1];
-            double charge = 0.0;
-            for (const netlist::NetId net : simulator.cycle_toggled_nets()) {
-                charge += weights[net] *
-                          static_cast<double>(simulator.cycle_toggle_count(net));
-            }
-            rec.charge_fc = charge;
-            out.blocks[k].push_back(rec);
+    EmulationCalibration out;
+    out.corners.resize(contexts.size());
+    if (options.calibration_pairs == 0) {
+        for (std::size_t k = 0; k < contexts.size(); ++k) {
+            out.corners[k].weights = base_charge_weights(*contexts[k], sim_options);
         }
-        out.sim_transitions += cycle.transitions;
-    };
-
-    if (mode == StimulusMode::StratifiedPairs) {
-        // Mirrors run_shard's batched warm-up exactly (same RNG consumption,
-        // same load_state adoption) so corner 0 stays bit-identical.
-        constexpr std::size_t kLanes =
-            static_cast<std::size_t>(sim::BatchedEvaluator::kLanes);
-        const bool batched = options.warmup == WarmupMode::Batched;
-        std::optional<sim::BatchedEvaluator> evaluator;
-        std::vector<std::uint8_t> lane_values;
-        if (batched) {
-            evaluator.emplace(context);
-            lane_values.resize(context.netlist().num_nets());
-        }
-        std::array<BitVec, kLanes> u_block;
-        std::array<BitVec, kLanes> v_block;
-        std::array<std::pair<int, int>, kLanes> cls_block;
-
-        while (out.blocks[0].size() < count) {
-            const std::size_t block =
-                std::min<std::size_t>(kLanes, count - out.blocks[0].size());
-            for (std::size_t j = 0; j < block; ++j) {
-                cls_block[j] = stimulus.next_pair(u_block[j], v_block[j]);
-            }
-            if (batched) {
-                evaluator->settle({u_block.data(), block});
-                ++out.warmup_batches;
-            }
-            out.warmup_vectors += block;
-            for (std::size_t j = 0; j < block; ++j) {
-                if (batched) {
-                    evaluator->export_lane(static_cast<int>(j), lane_values);
-                    simulator.load_state(u_block[j], lane_values);
-                } else {
-                    simulator.initialize(u_block[j]);
-                }
-                const sim::CycleResult cycle = simulator.apply(v_block[j]);
-                push_records(cls_block[j].first, cls_block[j].second,
-                             (u_block[j] ^ v_block[j]).raw(), cycle);
-            }
-        }
-        out.kernel = simulator.kernel_stats();
         return out;
     }
 
-    simulator.initialize(stimulus.current());
-    while (out.blocks[0].size() < count) {
-        const BitVec previous = stimulus.current();
-        const BitVec next = stimulus.chain_next();
-        const int hd = BitVec::hamming_distance(previous, next);
-        if (hd == 0) {
-            continue;
+    const std::vector<std::vector<std::size_t>> groups = timing_groups(contexts);
+    const CalibrationGrid grid =
+        run_calibration_grid(contexts, groups, m, mode, options, sim_options, pool);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        for (std::size_t j = 0; j < groups[g].size(); ++j) {
+            const std::size_t k = groups[g][j];
+            out.corners[k] =
+                fit_glitch_correction(*contexts[k], sim_options, grid.group(g), j);
         }
-        const sim::CycleResult cycle = simulator.apply(next);
-        push_records(hd, BitVec::stable_zeros(previous, next),
-                     (previous ^ next).raw(), cycle);
     }
-    out.kernel = simulator.kernel_stats();
+    for (const CalibrationShard& cell : grid.cells) {
+        out.event_pairs += cell.pairs;
+    }
     return out;
 }
+
+// ---------------------------------------------------------------------------
+// Multi-corner single-sweep emulation (docs/corners.md). The amortization
+// argument: zero-delay toggle activity is exactly invariant across
+// operating corners, so one stimulus sweep can score K corners by dotting
+// shared toggle vectors against K per-corner charge tables. (The event
+// kernel's counterpart is run_shard_event_multi: its toggle sequence is
+// invariant within a timing group.)
+// ---------------------------------------------------------------------------
 
 /// Power-emulation multi-corner shard: settle the stimulus once, score K
 /// corners with K weighted dot products over the shared toggle words.
@@ -828,7 +807,7 @@ MultiShardResult run_shard_event_multi(const sim::SimContext& context, int m,
 /// count_weighted_toggles accumulation a single-corner run performs — so
 /// every corner's block is bit-identical to an independent
 /// run_shard_emulation at that corner.
-MultiShardResult run_shard_emulation_multi(const sim::SimContext& context, int m,
+ShardResult run_shard_emulation_multi(const sim::SimContext& context, int m,
                                            StimulusMode mode,
                                            const CharacterizationOptions& options,
                                            std::span<const std::vector<double>> weight_sets,
@@ -842,7 +821,7 @@ MultiShardResult run_shard_emulation_multi(const sim::SimContext& context, int m
     }
 
     const std::size_t corners = weight_sets.size();
-    MultiShardResult out;
+    ShardResult out;
     out.blocks.resize(corners);
     for (auto& block : out.blocks) {
         block.reserve(count);
@@ -928,98 +907,6 @@ MultiShardResult run_shard_emulation_multi(const sim::SimContext& context, int m
     return out;
 }
 
-/// Per-corner transfer weights of an event-kernel multi-corner sweep.
-struct CornerTransferResult {
-    std::vector<std::vector<double>> weights; ///< [k-1][net], corrected + scaled
-    std::vector<double> scales;               ///< fitted residual scale per corner
-    std::uint64_t event_pairs = 0; ///< event transitions simulated (all corners)
-};
-
-/// Fit the corner-transfer correction, mirroring calibrate_emulation: per
-/// cell-output toggle-ratio factors (corner-k event toggles / corner-0
-/// event toggles — uniform delay scaling preserves event order up to
-/// integer-ps rounding and the fixed inertial window, so these ratios sit
-/// near 1) folded into corner k's base edge-charge weights, then one
-/// residual scale per corner fitted with util::least_squares over
-/// per-shard (transferred charge, corner-k event charge) rows. Every
-/// corner's cells come from one run_calibration_grid, of which the fit
-/// reads only the event-kernel half; corner 0's cells are the transfer
-/// reference. Each corner merges in shard order, so the fit is a pure
-/// function of the stimulus plan and corner list, bit-identical for any
-/// thread count.
-CornerTransferResult calibrate_corner_transfer(
-    std::span<const sim::SimContext* const> contexts, int m, StimulusMode mode,
-    const CharacterizationOptions& options, const sim::EventSimOptions& sim_options,
-    const util::ThreadPool& pool)
-{
-    const std::size_t corners = contexts.size();
-    CornerTransferResult out;
-    out.weights.resize(corners - 1);
-    out.scales.assign(corners - 1, 1.0);
-    for (std::size_t k = 1; k < corners; ++k) {
-        out.weights[k - 1] = base_charge_weights(*contexts[k], sim_options);
-    }
-    if (options.calibration_pairs == 0 || corners == 1) {
-        return out;
-    }
-
-    const CalibrationGrid grid =
-        run_calibration_grid(contexts, m, mode, options, sim_options, pool);
-    const std::span<const CalibrationShard> reference = grid.corner(0);
-
-    const std::size_t nets = contexts[0]->netlist().num_nets();
-    std::vector<std::uint64_t> ref_toggles(nets, 0);
-    for (const CalibrationShard& shard : reference) {
-        for (std::size_t net = 0; net < nets; ++net) {
-            ref_toggles[net] += shard.event_toggles[net];
-        }
-    }
-    for (const CalibrationShard& cell : grid.cells) {
-        out.event_pairs += cell.pairs;
-    }
-
-    for (std::size_t k = 1; k < corners; ++k) {
-        const std::span<const CalibrationShard> shards = grid.corner(k);
-        std::vector<double>& weights = out.weights[k - 1];
-        std::vector<std::uint64_t> corner_toggles(nets, 0);
-        for (const CalibrationShard& shard : shards) {
-            for (std::size_t net = 0; net < nets; ++net) {
-                corner_toggles[net] += shard.event_toggles[net];
-            }
-        }
-        for (netlist::NetId net = 0; net < nets; ++net) {
-            if (contexts[0]->is_cell_output(net) && ref_toggles[net] > 0) {
-                weights[net] *= static_cast<double>(corner_toggles[net]) /
-                                static_cast<double>(ref_toggles[net]);
-            }
-        }
-        // Residual scale through the origin, one row per calibration shard.
-        util::Matrix a{shards.size(), 1};
-        std::vector<double> b(shards.size(), 0.0);
-        double transferred_total = 0.0;
-        for (std::size_t s = 0; s < shards.size(); ++s) {
-            double transferred = 0.0;
-            for (std::size_t net = 0; net < nets; ++net) {
-                transferred += weights[net] *
-                               static_cast<double>(reference[s].event_toggles[net]);
-            }
-            a.at(s, 0) = transferred;
-            b[s] = shards[s].event_charge_fc;
-            transferred_total += transferred;
-        }
-        if (transferred_total > 0.0) {
-            const std::vector<double> fit = util::least_squares(a, b);
-            if (std::isfinite(fit[0]) && fit[0] > 0.0) {
-                out.scales[k - 1] = fit[0];
-            }
-        }
-        for (double& w : weights) {
-            w *= out.scales[k - 1];
-        }
-    }
-    return out;
-}
-
 /// A run_shard call's outcome: the shard result, or the exception it threw
 /// (captured so a failing shard never takes its wave's siblings down with
 /// it — the merge loop decides whether to rethrow or degrade).
@@ -1078,7 +965,7 @@ struct ShardRunner::Impl {
           mode(options.mode.value_or(StimulusMode::StratifiedChain)),
           shard_size(options.shard_size != 0 ? options.shard_size : options.batch),
           num_shards((options.max_transitions + shard_size - 1) / shard_size),
-          fingerprint(characterization_fingerprint(options, sim_options)),
+          fingerprint(characterization_fingerprint(options, sim_options, library)),
           module_key(module_journal_key(module))
     {
         HDPM_REQUIRE(m >= 1 && m <= BitVec::kMaxWidth,
@@ -1095,7 +982,7 @@ struct ShardRunner::Impl {
             const sim::SimContext* const only = &context;
             calibration = std::move(
                 calibrate_emulation({&only, 1}, m, mode, options, sim_options, pool)
-                    .front());
+                    .corners.front());
         }
     }
 
@@ -1160,7 +1047,7 @@ std::vector<CharacterizationRecord> ShardRunner::run(std::size_t shard,
                                   planned, tick)
             : run_shard(impl_->context, impl_->m, impl_->mode, impl_->options,
                         impl_->sim_options, shard, planned, tick);
-    return std::move(result.records);
+    return std::move(result.blocks.front());
 }
 
 struct ShardMerger::Impl {
@@ -1274,14 +1161,14 @@ std::vector<CharacterizationRecord> Characterizer::collect_records(
     // space), so a resumed run recomputes the identical weights — nothing
     // about it needs journaling.
     const bool emulation = options.backend == CharBackend::PowerEmulation;
-    CalibrationResult calibration;
+    EmulationCalibration calibration;
+    calibration.corners.resize(1);
     const auto calibrate_start = std::chrono::steady_clock::now();
     if (emulation) {
         const sim::SimContext* const only = &context;
-        calibration = std::move(
-            calibrate_emulation({&only, 1}, m, mode, options, sim_options_, pool)
-                .front());
+        calibration = calibrate_emulation({&only, 1}, m, mode, options, sim_options_, pool);
     }
+    const CalibrationResult& glitch = calibration.corners.front();
     const double calibrate_ms = std::chrono::duration<double, std::milli>(
                                     std::chrono::steady_clock::now() - calibrate_start)
                                     .count();
@@ -1312,7 +1199,7 @@ std::vector<CharacterizationRecord> Characterizer::collect_records(
     bool checkpoint_discarded = false;
     bool checkpoint_salvaged = false;
     if (checkpointing) {
-        journal.fingerprint = characterization_fingerprint(options, sim_options_);
+        journal.fingerprint = characterization_fingerprint(options, sim_options_, *library_);
         journal.module_key = module_journal_key(module);
         journal.input_bits = m;
         {
@@ -1427,7 +1314,7 @@ std::vector<CharacterizationRecord> Characterizer::collect_records(
             try {
                 outcome.result =
                     emulation ? run_shard_emulation(context, m, mode, options,
-                                                    calibration.weights, shard,
+                                                    glitch.weights, shard,
                                                     planned)
                               : run_shard(context, m, mode, options, sim_options_,
                                           shard, planned);
@@ -1451,21 +1338,22 @@ std::vector<CharacterizationRecord> Characterizer::collect_records(
                 }
             } else {
                 ShardResult& result = *outcome.result;
-                merger.merge(result.records);
+                std::vector<CharacterizationRecord>& block = result.blocks.front();
+                merger.merge(block);
                 sim_transitions += result.sim_transitions;
                 sim_events += result.kernel.events_processed;
                 warmup_vectors += result.warmup_vectors;
                 warmup_batches += result.warmup_batches;
                 emulation_passes += result.emulation_passes;
                 if (emulation) {
-                    emulated_pairs += result.records.size();
+                    emulated_pairs += block.size();
                 }
                 max_queue_depth =
                     std::max(max_queue_depth, result.kernel.max_queue_depth);
                 ++shards_merged;
                 if (checkpointing) {
                     journal.shards.push_back(
-                        CheckpointShard{shard, std::move(result.records)});
+                        CheckpointShard{shard, std::move(block)});
                     ++unpublished;
                 }
             }
@@ -1518,7 +1406,7 @@ std::vector<CharacterizationRecord> Characterizer::collect_records(
         options.stats->emulated_pairs = emulated_pairs;
         options.stats->emulation_passes = emulation_passes;
         options.stats->calibration_pairs = calibration.event_pairs;
-        options.stats->calibration_scale = calibration.scale;
+        options.stats->calibration_scale = glitch.scale;
         options.stats->calibrate_ms = calibrate_ms;
     }
     return records;
@@ -1652,43 +1540,6 @@ EnhancedHdModel Characterizer::characterize_enhanced(
     });
 }
 
-namespace {
-
-/// Journal fingerprint of corner @p k of a sweep. Every corner journals
-/// under its own single-corner fingerprint, so an emulation sweep
-/// journal is interchangeable with the matching single-corner run's (the
-/// record streams are bit-identical by construction). Event-kernel
-/// corners k > 0 are transfer approximations whose values depend on the
-/// whole corner list, so their fingerprints additionally fold the list —
-/// a sweep journal can never be resumed by an exact single-corner run,
-/// nor by a sweep over a different corner set.
-std::uint64_t sweep_corner_fingerprint(const CharacterizationOptions& options,
-                                       const sim::EventSimOptions& sim_options,
-                                       std::size_t k)
-{
-    CharacterizationOptions corner_options = options;
-    corner_options.corner = options.corners[k];
-    corner_options.corners.clear();
-    std::uint64_t fp = characterization_fingerprint(corner_options, sim_options);
-    if (options.backend == CharBackend::EventKernel && k > 0) {
-        for (const gate::Corner& corner : options.corners) {
-            fp = util::splitmix64(fp ^ std::bit_cast<std::uint64_t>(corner.vdd_v));
-            fp = util::splitmix64(fp ^ std::bit_cast<std::uint64_t>(corner.temp_c));
-            fp = util::splitmix64(fp ^
-                                  static_cast<std::uint64_t>(corner.load_class));
-        }
-    }
-    return fp;
-}
-
-/// A multi-corner shard's outcome, mirroring ShardOutcome.
-struct MultiShardOutcome {
-    std::optional<MultiShardResult> result;
-    std::exception_ptr error;
-};
-
-} // namespace
-
 std::vector<std::vector<CharacterizationRecord>> Characterizer::collect_records_corners(
     const dp::DatapathModule& module, const CharacterizationOptions& options) const
 {
@@ -1732,30 +1583,23 @@ std::vector<std::vector<CharacterizationRecord>> Characterizer::collect_records_
     const util::ThreadPool pool{options.threads};
     const bool emulation = options.backend == CharBackend::PowerEmulation;
 
-    // Per-corner scoring weights, every corner calibrated concurrently on
-    // one (corner × calibration shard) grid. Emulation: each corner keeps
-    // its own glitch calibration at its own derived context — the
-    // calibration stimulus is corner-independent, so each weight vector is
-    // exactly what an independent single-corner run would compute. Event
-    // kernel: corner 0 needs no weights (it is simulated exactly); corners
-    // k > 0 get transfer weights calibrated against corner 0.
+    // Corners that simulate the same timing (one load class) share one
+    // event-kernel pass: the event sweep simulates each group once per
+    // shard, and the emulation backend calibrates each group once on one
+    // (group × calibration shard) grid. Either way every corner is scored
+    // from its own edge charges, exactly as its independent run would be.
+    const std::vector<std::vector<std::size_t>> groups = timing_groups(context_ptrs);
     std::vector<std::vector<double>> weight_sets;
-    std::uint64_t emulation_calibration_pairs = 0;
-    double calibration_scale = 1.0;
-    CornerTransferResult transfer;
+    EmulationCalibration calibration;
+    calibration.corners.resize(1);
     const auto calibrate_start = std::chrono::steady_clock::now();
     if (emulation) {
-        std::vector<CalibrationResult> calibrations =
+        calibration =
             calibrate_emulation(context_ptrs, m, mode, options, sim_options_, pool);
-        calibration_scale = calibrations[0].scale;
         weight_sets.reserve(corners);
-        for (CalibrationResult& cal : calibrations) {
-            emulation_calibration_pairs += cal.event_pairs;
+        for (CalibrationResult& cal : calibration.corners) {
             weight_sets.push_back(std::move(cal.weights));
         }
-    } else if (corners > 1) {
-        transfer = calibrate_corner_transfer(context_ptrs, m, mode, options,
-                                             sim_options_, pool);
     }
     const double calibrate_ms = std::chrono::duration<double, std::milli>(
                                     std::chrono::steady_clock::now() - calibrate_start)
@@ -1808,8 +1652,14 @@ std::vector<std::vector<CharacterizationRecord>> Characterizer::collect_records_
         for (std::size_t k = 0; k < corners; ++k) {
             journal_paths[k] =
                 options.checkpoint.string() + ".c" + std::to_string(k);
+            // Every corner journals under its own single-corner
+            // fingerprint: its record stream is bit-identical to that run's,
+            // so either can resume the other's journal.
+            CharacterizationOptions corner_options = options;
+            corner_options.corner = options.corners[k];
+            corner_options.corners.clear();
             journals[k].fingerprint =
-                sweep_corner_fingerprint(options, sim_options_, k);
+                characterization_fingerprint(corner_options, sim_options_, *library_);
             journals[k].module_key = module_journal_key(module);
             journals[k].input_bits = m;
             {
@@ -1908,16 +1758,16 @@ std::vector<std::vector<CharacterizationRecord>> Characterizer::collect_records_
             const std::size_t shard = wave_start + i;
             const std::size_t planned =
                 std::min(shard_size, options.max_transitions - shard * shard_size);
-            MultiShardOutcome outcome;
+            ShardOutcome outcome;
             try {
                 outcome.result =
                     emulation
                         ? run_shard_emulation_multi(*context_ptrs[0], m, mode,
                                                     options, weight_sets, shard,
                                                     planned)
-                        : run_shard_event_multi(*context_ptrs[0], m, mode, options,
-                                                sim_options_, transfer.weights,
-                                                shard, planned);
+                        : run_shard_event_multi(context_ptrs, groups, m, mode,
+                                                options, sim_options_, shard,
+                                                planned);
             } catch (...) {
                 outcome.error = std::current_exception();
             }
@@ -1926,7 +1776,7 @@ std::vector<std::vector<CharacterizationRecord>> Characterizer::collect_records_
 
         for (std::size_t i = 0; i < results.size() && !all_converged(); ++i) {
             const std::size_t shard = wave_start + i;
-            MultiShardOutcome& outcome = results[i];
+            ShardOutcome& outcome = results[i];
             if (outcome.error != nullptr) {
                 handle_shard_failure(shard, outcome.error);
                 if (checkpointing) {
@@ -1936,7 +1786,7 @@ std::vector<std::vector<CharacterizationRecord>> Characterizer::collect_records_
                     ++unpublished;
                 }
             } else {
-                MultiShardResult& result = *outcome.result;
+                ShardResult& result = *outcome.result;
                 for (std::size_t k = 0; k < corners; ++k) {
                     mergers[k]->merge(result.blocks[k]);
                 }
@@ -2014,10 +1864,9 @@ std::vector<std::vector<CharacterizationRecord>> Characterizer::collect_records_
         options.stats->backend = options.backend;
         options.stats->emulated_pairs = emulated_pairs;
         options.stats->emulation_passes = emulation_passes;
-        options.stats->calibration_pairs = emulation_calibration_pairs;
-        options.stats->calibration_scale = calibration_scale;
+        options.stats->calibration_pairs = calibration.event_pairs;
+        options.stats->calibration_scale = calibration.corners.front().scale;
         options.stats->corners = corners;
-        options.stats->corner_calibration_pairs = transfer.event_pairs;
         options.stats->calibrate_ms = calibrate_ms;
     }
     return records;

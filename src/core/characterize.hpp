@@ -112,17 +112,18 @@ struct CharRunStats {
     CharBackend backend = CharBackend::EventKernel;
     std::uint64_t emulated_pairs = 0;   ///< records scored word-parallel this run
     std::uint64_t emulation_passes = 0; ///< 64-lane zero-delay settle passes
-    std::uint64_t calibration_pairs = 0; ///< event-kernel pairs run for calibration
+    /// Event-kernel pairs run for the glitch calibration: calibration_pairs
+    /// options × timing groups (one per load class) for a sweep.
+    std::uint64_t calibration_pairs = 0;
     double calibration_scale = 1.0; ///< fitted residual glitch scale (1 = none)
-    /// Steady-clock wall time of the calibration phase (glitch or corner
-    /// transfer), part of collect_wall_ms.
+    /// Steady-clock wall time of the glitch-calibration phase, part of
+    /// collect_wall_ms.
     double calibrate_ms = 0.0;
 
-    /// Corners scored by a multi-corner sweep (0 = single-corner run), and
-    /// the event-kernel transitions spent on the per-corner transfer
-    /// calibration (event backend sweeps only; the emulation backend's
-    /// per-corner glitch calibrations report through calibration_pairs).
+    /// Corners scored by a multi-corner sweep (0 = single-corner run).
     std::size_t corners = 0;
+    /// Always 0: every corner of an event-kernel sweep is simulated exactly,
+    /// so no corner-transfer calibration runs. Kept for existing readers.
     std::uint64_t corner_calibration_pairs = 0;
 
     /// Shards that failed and were skipped (non-strict runs only; empty
@@ -281,26 +282,26 @@ public:
 
     /// Multi-corner single-sweep record collection — the amortization path
     /// (docs/corners.md). Runs the stimulus sweep *once* and scores every
-    /// corner in options.corners from shared per-net toggle activity:
+    /// corner in options.corners from shared toggle activity; on both
+    /// backends every corner's records are bit-identical to an independent
+    /// single-corner run at that corner:
     ///
     ///  - PowerEmulation: zero-delay toggles are exactly corner-invariant,
     ///    so each shard settles once and K weighted dot products score the
-    ///    K corners. Each corner keeps its own event-kernel glitch
-    ///    calibration (run at that corner's derived library), so every
-    ///    corner's records are bit-identical to an independent
-    ///    single-corner run at that corner.
-    ///  - EventKernel: corners[0] is simulated exactly (bit-identical to a
-    ///    single-corner run at corners[0]); the remaining corners are
-    ///    scored from its per-cycle toggle vectors through per-corner
-    ///    transfer weights calibrated on a deterministic event-kernel
-    ///    subsample at each corner (approximate, within the calibrated
-    ///    tolerance).
+    ///    K corners. Each corner's glitch calibration replays its timing
+    ///    group's event-kernel calibration (one per load class) under the
+    ///    corner's own edge charges.
+    ///  - EventKernel: corners of one load class simulate the same timing
+    ///    (TechLibrary::at), so each shard is simulated once per load class
+    ///    and every corner's cycle charge is replayed from the cycle's toggle
+    ///    log under its own edge charges.
     ///
     /// Element k of the result aligns with options.corners[k]. Convergence
     /// is tracked per corner (a corner's record stream stops exactly where
     /// its independent run would); the sweep runs until every corner has
-    /// converged or the budget is exhausted. The calibrations of all
-    /// corners run concurrently, one task per (corner, calibration shard).
+    /// converged or the budget is exhausted. The calibrations of all load
+    /// classes run concurrently, one task per (load class, calibration
+    /// shard).
     /// Checkpointing appends ".c<k>" per corner to options.checkpoint;
     /// resume is bit-identical.
     [[nodiscard]] std::vector<std::vector<CharacterizationRecord>>
@@ -323,6 +324,9 @@ public:
     {
         return sim_options_;
     }
+
+    /// The base technology library corners are derived from.
+    [[nodiscard]] const gate::TechLibrary& library() const noexcept { return *library_; }
 
 private:
     const gate::TechLibrary* library_;

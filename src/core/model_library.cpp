@@ -19,6 +19,9 @@ constexpr std::uint64_t kFingerprintVersion = 3;
 
 constexpr std::string_view kOptionsHeaderTag = "options";
 
+/// Mixed into the fingerprint of a corner whose delay factor is not 1.
+constexpr std::uint64_t kCornerTimebaseTag = 0x5449'4d45'4241'5345ULL; // "TIMEBASE"
+
 std::string fingerprint_header_line(std::uint64_t fingerprint)
 {
     char hex[17];
@@ -49,7 +52,8 @@ bool consume_matching_header(std::istream& in, std::uint64_t fingerprint)
 } // namespace
 
 std::uint64_t characterization_fingerprint(const CharacterizationOptions& options,
-                                           const sim::EventSimOptions& sim_options)
+                                           const sim::EventSimOptions& sim_options,
+                                           const gate::TechLibrary& library)
 {
     std::uint64_t hash = 0xcbf2'9ce4'8422'2325ULL; // FNV-1a offset basis
     const auto mix = [&hash](std::uint64_t value) {
@@ -85,14 +89,21 @@ std::uint64_t characterization_fingerprint(const CharacterizationOptions& option
         mix(std::bit_cast<std::uint64_t>(options.corner->vdd_v));
         mix(std::bit_cast<std::uint64_t>(options.corner->temp_c));
         mix(static_cast<std::uint64_t>(options.corner->load_class));
+        // A corner that runs slower or faster than the library simulates in
+        // the corner timebase (docs/corners.md §1); models and journals of
+        // the earlier law, which scaled the simulated delays instead, must
+        // not be reused. Corners with a delay factor of exactly 1 simulate
+        // as before and keep their fingerprints.
+        if (library.corner_delay_scale(*options.corner) != 1.0) {
+            mix(kCornerTimebaseTag);
+        }
     }
     // Deliberately excluded (execution-only, results bit-identical):
     // threads, warmup, scheduler, max_events_per_cycle, progress, stats,
     // checkpoint/checkpoint_every (resume is bit-identical), strict_faults.
     // Also excluded: options.corners — a sweep journals and stores each
-    // corner under its own single-corner fingerprint (see
-    // sweep_corner_fingerprint in characterize.cpp for the event-kernel
-    // poisoning that keeps approximate sweep journals apart).
+    // corner under its own single-corner fingerprint (its records are
+    // bit-identical to that run's on both backends).
     return hash;
 }
 
@@ -269,7 +280,7 @@ HdModel ModelLibrary::get_or_characterize(dp::ModuleType type,
 {
     const std::filesystem::path path = basic_path(type, widths, options.corner);
     return load_or_build<HdModel>(
-        path, characterization_fingerprint(options, sim_options_), [&] {
+        path, characterization_fingerprint(options, sim_options_, *library_), [&] {
             const dp::DatapathModule module = dp::make_module(type, widths);
             const Characterizer characterizer{*library_, sim_options_};
             return characterizer.characterize(module, options);
@@ -283,7 +294,7 @@ EnhancedHdModel ModelLibrary::get_or_characterize_enhanced(
     const std::filesystem::path path =
         enhanced_path(type, widths, zero_clusters, options.corner);
     return load_or_build<EnhancedHdModel>(
-        path, characterization_fingerprint(options, sim_options_), [&] {
+        path, characterization_fingerprint(options, sim_options_, *library_), [&] {
             const dp::DatapathModule module = dp::make_module(type, widths);
             const Characterizer characterizer{*library_, sim_options_};
             return characterizer.characterize_enhanced(module, zero_clusters, options);
@@ -295,7 +306,7 @@ void ModelLibrary::store_basic(dp::ModuleType type, std::span<const int> widths,
                                const HdModel& model) const
 {
     (void)load_or_build<HdModel>(basic_path(type, widths, options.corner),
-                                 characterization_fingerprint(options, sim_options_),
+                                 characterization_fingerprint(options, sim_options_, *library_),
                                  [&] { return model; });
 }
 
@@ -306,7 +317,7 @@ void ModelLibrary::store_enhanced(dp::ModuleType type, std::span<const int> widt
 {
     (void)load_or_build<EnhancedHdModel>(
         enhanced_path(type, widths, zero_clusters, options.corner),
-        characterization_fingerprint(options, sim_options_), [&] { return model; });
+        characterization_fingerprint(options, sim_options_, *library_), [&] { return model; });
 }
 
 void ModelLibrary::clear() const

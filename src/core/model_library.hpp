@@ -13,14 +13,16 @@ namespace hdpm::core {
 
 /// FNV-1a fingerprint of every knob that shapes a characterized model's
 /// coefficients: the stimulus plan (seed, budgets, batch, tolerance, mode,
-/// shard size) and the reference-simulation physics (input-charge
-/// accounting, inertial window). Execution-only knobs that are proven
-/// bit-identical — threads, warm-up mode, scheduler kind, the event-budget
-/// safety valve, progress/stats observers — are deliberately excluded, so
-/// re-running with a different thread count or warm-up strategy still hits
-/// the stored model.
+/// shard size), the reference-simulation physics (input-charge accounting,
+/// inertial window) and the operating corner, with a timing tag when
+/// @p library gives the corner a delay factor other than 1. Execution-only
+/// knobs that are proven bit-identical — threads, warm-up mode, scheduler
+/// kind, the event-budget safety valve, progress/stats observers — are
+/// deliberately excluded, so re-running with a different thread count or
+/// warm-up strategy still hits the stored model.
 [[nodiscard]] std::uint64_t characterization_fingerprint(
-    const CharacterizationOptions& options, const sim::EventSimOptions& sim_options);
+    const CharacterizationOptions& options, const sim::EventSimOptions& sim_options,
+    const gate::TechLibrary& library);
 
 /// A directory-backed store of characterized macro-models.
 ///

@@ -209,7 +209,8 @@ std::vector<PrototypeModel> characterize_prototype_set(
     std::string module_id;
     std::vector<std::optional<HdModel>> completed(widths.size());
     if (journaling) {
-        fingerprint = characterization_fingerprint(options, characterizer.sim_options());
+        fingerprint = characterization_fingerprint(options, characterizer.sim_options(),
+                                                   characterizer.library());
         module_id = dp::module_type_id(type);
         {
             std::error_code ec;

@@ -55,7 +55,7 @@ FleetStats FleetCoordinator::run()
         dp::make_module(options_.module_type, options_.widths);
 
     FleetPlan plan;
-    plan.fingerprint = core::characterization_fingerprint(effective, sim_options_);
+    plan.fingerprint = core::characterization_fingerprint(effective, sim_options_, *library_);
     plan.module_key = core::module_journal_key(module);
     plan.input_bits = module.total_input_bits();
     plan.shard_size =

@@ -25,8 +25,8 @@ enum class LoadClass : std::uint8_t {
 
 /// One operating corner of a technology library: supply voltage, junction
 /// temperature, and wire-load class. TechLibrary::at derives a complete
-/// scaled library for a corner (alpha-power Vdd scaling of delay, CV²
-/// scaling of internal energy, linear temperature derating — see
+/// scaled library for a corner (alpha-power Vdd scaling of the time scale,
+/// CV² scaling of internal energy, linear temperature derating — see
 /// docs/corners.md for the laws and constants).
 ///
 /// The *identity corner* — native Vdd (or vdd_v = 0), 25 °C, Nominal —
@@ -112,30 +112,39 @@ public:
         return cells_[static_cast<std::size_t>(kind)];
     }
 
+    /// Real picoseconds per picosecond of the library's simulation
+    /// timebase: cell delays are simulated as the cell data gives them, and
+    /// real-time figures multiply by this scale. 1 for base libraries; at()
+    /// records the corner's delay factor here.
+    [[nodiscard]] double time_scale() const noexcept { return time_scale_; }
+
     /// A derived library: every cell field multiplied by the matching
     /// CellScaling factor (exactly one multiplication per field), with the
-    /// given supply and wire capacitances adopted verbatim. This is the
-    /// single mechanism behind both hand-named process variants
-    /// (generic180) and operating-corner derivation (at()).
+    /// given supply and wire capacitances adopted verbatim and the time
+    /// scale inherited. This is the single mechanism behind both hand-named
+    /// process variants (generic180) and operating-corner derivation (at()).
     [[nodiscard]] TechLibrary derived(std::string name, double vdd_v,
                                       double wire_cap_base_ff,
                                       double wire_cap_per_fanout_ff,
                                       const CellScaling& scaling) const;
 
     /// The library scaled to an operating corner: internal energies scale
-    /// as (V/V₀)² with a linear temperature derating, delays follow the
-    /// alpha-power law V/(V−Vth)^α relative to the native supply with their
-    /// own linear temperature derating, wire capacitances scale with the
-    /// load class, and the derived library's vdd() is the corner supply (so
-    /// the ½·C·Vdd edge-charge term scales without further bookkeeping).
-    /// The identity corner derives a bit-identical library (see Corner).
-    /// The derived name is "<name>@<corner.key()>".
+    /// as (V/V₀)² with a linear temperature derating, wire capacitances
+    /// scale with the load class, and the derived library's vdd() is the
+    /// corner supply (so the ½·C·Vdd edge-charge term scales without further
+    /// bookkeeping). The delay factor — the alpha-power law V/(V−Vth)^α
+    /// relative to the native supply with its own linear temperature
+    /// derating — multiplies time_scale() and leaves the cell delays as they
+    /// are: every corner of one load class simulates the same integer-ps
+    /// event trajectory, inertial window included, in its own real time
+    /// (docs/corners.md §1). The identity corner derives a bit-identical
+    /// library (see Corner). The derived name is "<name>@<corner.key()>".
     [[nodiscard]] TechLibrary at(const Corner& corner) const;
 
     /// The internal-energy multiplier at() applies for @p corner.
     [[nodiscard]] double corner_energy_scale(const Corner& corner) const;
 
-    /// The delay multiplier at() applies for @p corner.
+    /// The delay factor at() multiplies into time_scale() for @p corner.
     [[nodiscard]] double corner_delay_scale(const Corner& corner) const;
 
     /// The default generic 350 nm-class library (Vdd = 3.3 V).
@@ -152,6 +161,7 @@ private:
     double wire_cap_base_ff_;
     double wire_cap_per_fanout_ff_;
     std::array<GateElectrical, kNumGateKinds> cells_;
+    double time_scale_ = 1.0;
 };
 
 } // namespace hdpm::gate

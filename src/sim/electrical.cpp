@@ -17,7 +17,8 @@ ElectricalView::ElectricalView(const netlist::Netlist& netlist,
     : vdd_(library.vdd()),
       net_cap_ff_(netlist.num_nets(), 0.0),
       edge_charge_fc_(netlist.num_nets(), 0.0),
-      cell_delay_ps_(netlist.num_cells(), 1)
+      cell_delay_ps_(netlist.num_cells(), 1),
+      timebase_delay_ps_(netlist.num_cells(), 1)
 {
     // Net capacitance: driver drain cap + sink pin caps + wire model.
     for (NetId net = 0; net < netlist.num_nets(); ++net) {
@@ -53,12 +54,15 @@ ElectricalView::ElectricalView(const netlist::Netlist& netlist,
         edge_charge_fc_[net] = q;
     }
 
-    // Cell delays under load.
+    // Cell delays under load, in the simulation timebase and in real time
+    // (bit-equal when the time scale is 1).
     for (CellId id = 0; id < netlist.num_cells(); ++id) {
         const Cell& cell = netlist.cell(id);
         const auto& spec = library.spec(cell.kind);
         const double d = spec.intrinsic_delay_ps + spec.delay_per_ff_ps * net_cap_ff_[cell.output];
-        cell_delay_ps_[id] = std::max<std::int64_t>(1, std::llround(d));
+        timebase_delay_ps_[id] = std::max<std::int64_t>(1, std::llround(d));
+        cell_delay_ps_[id] =
+            std::max<std::int64_t>(1, std::llround(d * library.time_scale()));
     }
 
     // Static timing: longest arrival over the topological order.

@@ -49,18 +49,6 @@ void EventSimulator::TimingWheel::reset()
     current_slot_ = 0;
 }
 
-void EventSimulator::TimingWheel::push(std::int64_t time, WheelEvent ev)
-{
-    HDPM_ASSERT(time > now_ && time - now_ <= horizon_,
-                "wheel push outside horizon at t=", time, " now=", now_);
-    const auto slot = static_cast<std::size_t>(time) & mask_;
-    if (slots_[slot].empty()) {
-        occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    }
-    slots_[slot].push_back(ev);
-    ++pending_;
-}
-
 std::size_t EventSimulator::TimingWheel::find_next_occupied(std::size_t start) const
 {
     const std::size_t words = occupied_.size();
@@ -114,6 +102,7 @@ EventSimulator::EventSimulator(const SimContext& context, EventSimOptions option
     HDPM_REQUIRE(netlist_->num_nets() < (std::size_t{1} << 31),
                  "netlist too large for packed wheel events");
     wheel_.configure(context.max_cell_delay_ps());
+    toggled_.reserve(netlist_->num_nets());
 }
 
 EventSimulator::EventSimulator(std::shared_ptr<const SimContext> context,
@@ -170,55 +159,49 @@ void EventSimulator::load_state(const BitVec& inputs,
 /// Reset every piece of per-cycle scheduler state so repeated
 /// initialize/load_state calls start from one identical state:
 /// swap-against-empty instead of a pop loop for the heap, bucket-clearing
-/// rewind for the wheel, and zeroed sequence / generation / stamp counters.
+/// rewind for the wheel, and zeroed sequence / generation / stamp counters
+/// (the per-cell stamps only on the heap path, the one that reads them).
 /// Cumulative counters (transition/charge per net, kernel stats) survive.
 void EventSimulator::reset_cycle_state()
 {
     for (std::size_t net = 0; net < sched_.size(); ++net) {
         sched_[net] = NetSched{values_[net], 0, 0, 0, 0};
     }
-    std::fill(cell_stamp_.begin(), cell_stamp_.end(), 0);
+    if (options_.scheduler == SchedulerKind::BinaryHeap) {
+        std::fill(cell_stamp_.begin(), cell_stamp_.end(), 0);
+    }
     stamp_epoch_ = 0;
     seq_counter_ = 0;
     HeapQueue{}.swap(queue_);
     wheel_.reset();
 
     initialized_ = true;
-    if (track_cycle_toggles_) {
-        clear_cycle_toggles();
-    }
+    toggle_log_.clear();
     if (tracer_ != nullptr) {
         tracer_->dump_all(cycle_start_time_, values_);
     }
 }
 
-void EventSimulator::set_cycle_toggle_tracking(bool enabled)
+void EventSimulator::set_toggle_log(bool enabled)
 {
-    track_cycle_toggles_ = enabled;
+    log_toggles_ = enabled;
+    toggle_log_.clear();
     if (enabled) {
-        cycle_toggle_count_.assign(netlist_->num_nets(), 0);
-        cycle_dirty_.clear();
-        cycle_dirty_.reserve(netlist_->num_nets());
+        // Room for every net toggling a few times (glitches) per cycle; a
+        // longer cycle grows the log once and it keeps that capacity.
+        toggle_log_.reserve(4 * netlist_->num_nets());
     }
 }
 
-void EventSimulator::clear_cycle_toggles()
-{
-    for (const NetId net : cycle_dirty_) {
-        cycle_toggle_count_[net] = 0;
-    }
-    cycle_dirty_.clear();
-}
-
-void EventSimulator::toggle_net(NetId net, std::uint8_t value, std::int64_t time,
-                                bool count_charge, CycleResult& result)
+[[gnu::always_inline]] inline void EventSimulator::toggle_net(
+    NetId net, std::uint8_t value, std::int64_t time, bool count_charge,
+    CycleResult& result)
 {
     values_[net] = value;
     ++transition_count_[net];
-    if (track_cycle_toggles_) {
-        if (cycle_toggle_count_[net]++ == 0) {
-            cycle_dirty_.push_back(net);
-        }
+    if (log_toggles_) {
+        toggle_log_.push_back(
+            ToggleEntry{net | (static_cast<std::uint32_t>(count_charge) << 31)});
     }
     ++result.transitions;
     result.settle_time_ps = std::max(result.settle_time_ps, time);
@@ -235,9 +218,7 @@ void EventSimulator::toggle_net(NetId net, std::uint8_t value, std::int64_t time
 CycleResult EventSimulator::apply(const BitVec& inputs)
 {
     HDPM_REQUIRE(initialized_, "EventSimulator::apply before initialize");
-    if (track_cycle_toggles_) {
-        clear_cycle_toggles();
-    }
+    toggle_log_.clear();
     const auto& pis = netlist_->primary_inputs();
     HDPM_REQUIRE(inputs.width() == static_cast<int>(pis.size()), "netlist '",
                  netlist_->name(), "' has ", pis.size(), " inputs, pattern has ",
@@ -276,13 +257,14 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
     const auto& pis = netlist_->primary_inputs();
     CycleResult result;
     std::uint64_t processed = 0;
-    touched_.clear();
+    toggled_.clear();
 
-    // Apply primary-input changes at t = 0. Fanout consumers are appended
-    // without per-cell deduplication: a cell touched through two of its
-    // inputs evaluates twice, but the second evaluation computes the same
-    // output and prepare_schedule sees the net already heading there, so
-    // the event stream is unchanged while the common case sheds one stamp
+    // Apply primary-input changes at t = 0. The consumers of every toggled
+    // net are then evaluated straight from the fanout CSR, without
+    // per-cell deduplication: a cell touched through two of its inputs
+    // evaluates twice, but the second evaluation computes the same output
+    // and prepare_schedule sees the net already heading there, so the event
+    // stream is unchanged while the common case sheds one stamp
     // read-modify-write per consumer (measured duplicate rate is a few
     // percent of visits).
     for (std::size_t i = 0; i < pis.size(); ++i) {
@@ -292,8 +274,7 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
             continue;
         }
         toggle_net(net, v, 0, options_.count_input_charge, result);
-        const auto fo = cn.fanout(net);
-        touched_.insert(touched_.end(), fo.begin(), fo.end());
+        toggled_.push_back(net);
     }
 
     auto evaluate_and_schedule = [&](CellId id, std::int64_t now) {
@@ -307,20 +288,26 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
         }
     };
 
-    for (const CellId id : touched_) {
-        evaluate_and_schedule(id, 0);
-    }
+    const auto evaluate_fanout = [&](std::int64_t now) {
+        for (const NetId net : toggled_) {
+            for (const CellId id : cn.fanout(net)) {
+                evaluate_and_schedule(id, now);
+            }
+        }
+    };
+    evaluate_fanout(0);
 
-    // Main event loop: drain the wheel one timestamp bucket at a time so
-    // each cell evaluates at most once per time step. Bucket order is push
-    // order, which is schedule-sequence order — the heap's tie-break.
+    // Main event loop: drain the wheel one timestamp bucket at a time, so
+    // cells evaluate only after every toggle of their time step. Bucket
+    // order is push order, which is schedule-sequence order — the heap's
+    // tie-break.
     // Queue depth peaks right before an advance (it only grows between
     // pops), so sampling it here reports the same maximum as checking
     // after every push.
     while (!wheel_.empty()) {
         stats_.max_queue_depth = std::max(stats_.max_queue_depth, wheel_.pending());
         const std::int64_t now = wheel_.advance();
-        touched_.clear();
+        toggled_.clear();
         for (const WheelEvent& ev : wheel_.bucket()) {
             if (++processed > budget) {
                 fail_event_budget(budget);
@@ -336,13 +323,10 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
             // alternate, so a valid event always toggles its net.
             HDPM_ASSERT(v != values_[net], "no-op event on net ", net);
             toggle_net(net, v, now, true, result);
-            const auto fo = cn.fanout(net);
-            touched_.insert(touched_.end(), fo.begin(), fo.end());
+            toggled_.push_back(net);
         }
         wheel_.pop_bucket();
-        for (const CellId id : touched_) {
-            evaluate_and_schedule(id, now);
-        }
+        evaluate_fanout(now);
     }
     wheel_.reset(); // rewind to t = 0 for the next cycle (wheel is empty)
 
@@ -386,7 +370,7 @@ CycleResult EventSimulator::apply_heap(const BitVec& inputs, const std::uint64_t
         }
         const std::uint8_t out =
             gate::gate_eval(cell.kind, {in_vals, ins.size()}) ? 1 : 0;
-        const std::int64_t t = now + context_->electrical().cell_delay_ps(id);
+        const std::int64_t t = now + context_->cell_delay_ps(id);
         NetSched& ns = sched_[cell.output];
         if (prepare_schedule(ns, values_[cell.output], out, t)) {
             queue_.push(HeapEvent{t, seq_counter_++, cell.output, out, ns.generation});

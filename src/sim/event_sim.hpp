@@ -9,6 +9,7 @@
 #include "sim/electrical.hpp"
 #include "sim/sim_context.hpp"
 #include "util/bitvec.hpp"
+#include "util/error.hpp"
 
 namespace hdpm::sim {
 
@@ -60,7 +61,18 @@ struct EventSimOptions {
 struct CycleResult {
     double charge_fc = 0.0;          ///< supply charge drawn this cycle [fC]
     std::uint64_t transitions = 0;   ///< actual net toggles (including glitches)
-    std::int64_t settle_time_ps = 0; ///< time of the last toggle
+    std::int64_t settle_time_ps = 0; ///< time of the last toggle (simulation timebase)
+};
+
+/// One entry of the per-cycle toggle log (EventSimulator::set_toggle_log):
+/// a toggled net and whether the toggle drew its edge charge (primary-input
+/// toggles do only under count_input_charge), packed into 4 bytes.
+struct ToggleEntry {
+    std::uint32_t net_counted; ///< bit 31: counts its charge; low bits: net
+
+    [[nodiscard]] netlist::NetId net() const noexcept { return net_counted & 0x7fff'ffffU; }
+    [[nodiscard]] bool counts_charge() const noexcept { return (net_counted >> 31) != 0; }
+    friend bool operator==(const ToggleEntry&, const ToggleEntry&) = default;
 };
 
 /// Cumulative scheduler counters since construction (throughput
@@ -143,28 +155,35 @@ public:
         return transition_count_;
     }
 
-    /// Opt-in per-cycle toggle tracking — the multi-corner sweep's data
-    /// source: when enabled, every apply() records which nets toggled this
-    /// cycle and how often, readable until the next apply() / initialize()
-    /// / load_state(). Off by default: the hot loop then pays one
-    /// predictable branch, and when enabled the per-cycle clear touches
-    /// only the nets that actually toggled (allocation-free after the
-    /// first enable).
-    void set_cycle_toggle_tracking(bool enabled);
+    /// Opt-in per-cycle toggle log — the multi-corner data source: when
+    /// enabled, every apply() logs each net toggle in toggle order, readable
+    /// until the next apply() / initialize() / load_state(). Off by default:
+    /// the hot loop then pays one predictable branch. Enabling reserves the
+    /// log once; it keeps its capacity across cycles.
+    void set_toggle_log(bool enabled);
 
-    /// Nets toggled by the last apply(), in first-toggle order (a
-    /// deterministic function of the simulation — the multi-corner charge
-    /// accumulation order). Empty unless tracking is enabled.
-    [[nodiscard]] std::span<const netlist::NetId> cycle_toggled_nets() const noexcept
+    /// The last apply()'s toggles in toggle order (empty unless the log is
+    /// enabled).
+    [[nodiscard]] std::span<const ToggleEntry> cycle_toggle_log() const noexcept
     {
-        return cycle_dirty_;
+        return toggle_log_;
     }
 
-    /// Toggle count of @p net in the last apply() (0 when untoggled;
-    /// meaningless unless tracking is enabled).
-    [[nodiscard]] std::uint32_t cycle_toggle_count(netlist::NetId net) const
+    /// Replay the logged cycle's charge under per-net edge charges @p q
+    /// [fC]: c = 0, then c += q[net] over the counted toggles in toggle
+    /// order — apply()'s own accumulation. Any context that simulates the
+    /// same timing (SimContext::same_timing) logs the same cycle, so
+    /// replaying with its edge_charges_fc() is bit-identical to that
+    /// context's apply().charge_fc.
+    [[nodiscard]] double replay_charge(std::span<const double> q) const noexcept
     {
-        return cycle_toggle_count_[net];
+        double charge = 0.0;
+        for (const ToggleEntry entry : toggle_log_) {
+            if (entry.counts_charge()) {
+                charge += q[entry.net()];
+            }
+        }
+        return charge;
     }
 
     /// Total charge drawn per net since construction [fC] (power hot-spot
@@ -248,7 +267,17 @@ private:
         void reset(); ///< drop pending events, rewind to t = 0 (keeps capacity)
         [[nodiscard]] bool empty() const noexcept { return pending_ == 0; }
         [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
-        void push(std::int64_t time, WheelEvent ev);
+        void push(std::int64_t time, WheelEvent ev)
+        {
+            HDPM_ASSERT(time > now_ && time - now_ <= horizon_,
+                        "wheel push outside horizon at t=", time, " now=", now_);
+            const auto slot = static_cast<std::size_t>(time) & mask_;
+            if (slots_[slot].empty()) {
+                occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+            }
+            slots_[slot].push_back(ev);
+            ++pending_;
+        }
         /// Advance to the next non-empty timestamp; requires !empty().
         std::int64_t advance();
         /// Events at the timestamp advance() returned, in schedule order.
@@ -323,16 +352,14 @@ private:
     std::uint64_t seq_counter_ = 0; // BinaryHeap tie-break sequence
     TimingWheel wheel_;             // TimingWheel scheduler
 
-    std::vector<netlist::CellId> touched_; // per-timestamp scratch
+    std::vector<netlist::CellId> touched_; // per-timestamp scratch (heap)
+    std::vector<netlist::NetId> toggled_;  // per-timestamp scratch (wheel)
     KernelStats stats_;
     std::vector<std::uint64_t> transition_count_;
     std::vector<double> charge_per_net_;
 
-    /// Per-cycle toggle tracking (see set_cycle_toggle_tracking).
-    void clear_cycle_toggles();
-    bool track_cycle_toggles_ = false;
-    std::vector<std::uint32_t> cycle_toggle_count_; // per net, last apply only
-    std::vector<netlist::NetId> cycle_dirty_;       // nets toggled, first-toggle order
+    bool log_toggles_ = false;            ///< see set_toggle_log
+    std::vector<ToggleEntry> toggle_log_; ///< last apply's toggles, in order
 
     /// The current cycle's input vector pair (u = steady state before
     /// apply, v = the applied vector), captured so a budget-exceeded fault

@@ -15,7 +15,7 @@ SimContext::SimContext(const netlist::Netlist& netlist,
 {
     delay_ps_.reserve(netlist.num_cells());
     for (CellId id = 0; id < netlist.num_cells(); ++id) {
-        const std::int64_t d = electrical_.cell_delay_ps(id);
+        const std::int64_t d = electrical_.timebase_delay_ps(id);
         // The timing wheel allocates O(max delay) slots; a delay this large
         // means the electrical annotation is corrupt, not that the design
         // is slow (generic350 delays are tens of ps).

@@ -23,6 +23,10 @@ namespace hdpm::sim {
 /// any number of threads with no synchronization — the basis of the sharded
 /// characterization engine.
 ///
+/// The event kernel simulates in the library's integer-ps timebase (its
+/// cell data before the corner time scale; see ElectricalView), so every
+/// operating corner of one load class yields the same delays here.
+///
 /// Lifetime: the netlist must outlive the context. The technology library
 /// is fully consumed during construction (the ElectricalView copies what it
 /// needs) and may be destroyed afterwards.
@@ -52,12 +56,21 @@ public:
         return compiled_.topological_order();
     }
 
-    /// Propagation delay of a cell [ps] — same values as
-    /// electrical().cell_delay_ps but unchecked flat-array access for the
-    /// event hot loop.
+    /// Propagation delay of a cell in the simulation timebase [ps] — same
+    /// values as electrical().timebase_delay_ps but unchecked flat-array
+    /// access for the event hot loop.
     [[nodiscard]] std::int64_t cell_delay_ps(netlist::CellId cell) const
     {
         return delay_ps_[cell];
+    }
+
+    /// True when @p other simulates the identical timing: same netlist and
+    /// the same per-cell timebase delays. Under equal simulator options two
+    /// such contexts run the same event trajectory for every stimulus — the
+    /// corners of one load class do — and differ only in charge per toggle.
+    [[nodiscard]] bool same_timing(const SimContext& other) const noexcept
+    {
+        return netlist_ == other.netlist_ && delay_ps_ == other.delay_ps_;
     }
 
     /// Everything the event kernel needs to evaluate and schedule one cell,

@@ -1,15 +1,16 @@
 // Multi-corner characterization sweeps: one stimulus pass scoring every
-// requested operating corner. The contract under test, per backend:
+// requested operating corner. The contract under test: on both backends,
+// each corner's record block is BIT-IDENTICAL to the independent
+// single-corner run, for any thread count and across checkpoint resume.
 //
-//  - power-emulation: each corner's record block is BIT-IDENTICAL to the
-//    independent single-corner run (the sweep reuses the settled toggle
-//    streams, which are corner-invariant, and accumulates each corner's own
-//    calibrated weights — the same arithmetic in the same order);
-//  - event-kernel: corner 0 is simulated exactly (bit-identical to its
-//    independent run); corners k > 0 are scored through calibrated transfer
-//    weights — an approximation that must stay within a documented
-//    tolerance at the aggregate level while remaining fully deterministic
-//    (bit-identical across thread counts and checkpoint resume).
+//  - power-emulation: the sweep reuses the settled toggle streams, which
+//    are corner-invariant, and accumulates each corner's own calibrated
+//    weights; each load class runs one glitch calibration whose event
+//    charges every corner of the class replays under its own charges;
+//  - event-kernel: the corners of one load class simulate the same timing,
+//    so each shard is simulated once per load class and every corner's
+//    charge is replayed from the cycle's toggle log — the same additions
+//    in the same order as its independent simulation.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,8 @@ const std::vector<gate::Corner> kCorners = {
     {2.5, 85.0, gate::LoadClass::Nominal},
     {3.0, 50.0, gate::LoadClass::Heavy},
 };
+/// Distinct load classes in kCorners: one timing group each.
+constexpr std::size_t kLoadClasses = 2;
 
 /// The shared stimulus plan: 8 shards of 150, convergence disabled.
 CharacterizationOptions sweep_options(CharBackend backend, unsigned threads)
@@ -51,15 +54,16 @@ CharacterizationOptions sweep_options(CharBackend backend, unsigned threads)
 }
 
 /// Independent single-corner run under the same plan.
-std::vector<CharacterizationRecord> collect_single(const DatapathModule& module,
-                                                   CharBackend backend,
-                                                   const gate::Corner& corner,
-                                                   std::size_t calibration_pairs = 256)
+std::vector<CharacterizationRecord> collect_single(
+    const DatapathModule& module, CharBackend backend, const gate::Corner& corner,
+    std::size_t calibration_pairs = 256,
+    StimulusMode mode = StimulusMode::StratifiedPairs)
 {
     const Characterizer characterizer;
     CharacterizationOptions options = sweep_options(backend, 1);
     options.calibration_pairs = calibration_pairs;
     options.corner = corner;
+    options.mode = mode;
     return characterizer.collect_records(module, options);
 }
 
@@ -76,24 +80,16 @@ void expect_identical_records(const std::vector<CharacterizationRecord>& a,
     }
 }
 
-double mean_charge(const std::vector<CharacterizationRecord>& records)
-{
-    double sum = 0.0;
-    for (const auto& rec : records) {
-        sum += rec.charge_fc;
-    }
-    return sum / static_cast<double>(records.size());
-}
-
 struct AbortRun {};
 
 TEST(CornerSweep, EmulationSweepIsBitIdenticalToIndependentRunsAcrossThreads)
 {
-    // The sweep calibrates every corner on one (corner x calibration shard)
-    // task grid. Two calibration layouts: 256 pairs span two shards of 150
-    // per corner (a 6-cell grid), 150 pairs fit one shard per corner (the
-    // default layout, a 3-cell grid). 3 and 4 threads leave the grid
-    // unevenly split, so cells of different corners run side by side.
+    // The sweep calibrates every load class on one (load class x
+    // calibration shard) task grid. Two calibration layouts: 256 pairs span
+    // two shards of 150 per class (a 4-cell grid), 150 pairs fit one shard
+    // per class (the default layout, a 2-cell grid). 3 and 4 threads leave
+    // the grid unevenly split, so cells of different classes run side by
+    // side.
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
     const Characterizer characterizer;
     for (const std::size_t calibration_pairs : {std::size_t{256}, std::size_t{150}}) {
@@ -112,7 +108,8 @@ TEST(CornerSweep, EmulationSweepIsBitIdenticalToIndependentRunsAcrossThreads)
             const auto sweep = characterizer.collect_records_corners(module, options);
             ASSERT_EQ(sweep.size(), kCorners.size());
             EXPECT_EQ(stats.corners, kCorners.size());
-            EXPECT_EQ(stats.calibration_pairs, calibration_pairs * kCorners.size());
+            // One event-kernel calibration per load class, not per corner.
+            EXPECT_EQ(stats.calibration_pairs, calibration_pairs * kLoadClasses);
             EXPECT_GT(stats.calibrate_ms, 0.0);
             for (std::size_t k = 0; k < kCorners.size(); ++k) {
                 expect_identical_records(independent[k], sweep[k],
@@ -125,42 +122,46 @@ TEST(CornerSweep, EmulationSweepIsBitIdenticalToIndependentRunsAcrossThreads)
     }
 }
 
-TEST(CornerSweep, EventSweepCornerZeroIsExactAndTransfersAreClose)
+TEST(CornerSweep, EventSweepIsBitIdenticalToIndependentRuns)
 {
+    // Every corner — not only corner 0 — is exact: each record equals the
+    // independent single-corner event run's bit for bit, including the
+    // heavy-load corner, which the sweep simulates in its own timing group.
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
     const Characterizer characterizer;
-    CharacterizationOptions options = sweep_options(CharBackend::EventKernel, 1);
-    options.corners = kCorners;
-    CharRunStats stats;
-    options.stats = &stats;
-    const auto sweep = characterizer.collect_records_corners(module, options);
-    ASSERT_EQ(sweep.size(), kCorners.size());
-    EXPECT_GT(stats.corner_calibration_pairs, 0U);
-
-    // Corner 0 is the exactly simulated reference stream.
-    expect_identical_records(collect_single(module, CharBackend::EventKernel,
-                                            kCorners[0]),
-                             sweep[0], "event corner 0");
-
-    // Corners k > 0 ride calibrated transfer weights: per-record values are
-    // approximate, but the aggregate charge must land close to what the
-    // exact per-corner simulation measures (same stimulus, same plan).
-    for (std::size_t k = 1; k < kCorners.size(); ++k) {
-        const auto exact =
-            collect_single(module, CharBackend::EventKernel, kCorners[k]);
-        ASSERT_EQ(exact.size(), sweep[k].size());
-        const double reference = mean_charge(exact);
-        EXPECT_NEAR(mean_charge(sweep[k]), reference, 0.10 * reference)
-            << "corner " << k;
+    for (const StimulusMode mode : {StimulusMode::StratifiedPairs,
+                                    StimulusMode::StratifiedChain}) {
+        const std::string label =
+            mode == StimulusMode::StratifiedPairs ? "pairs" : "chain";
+        std::vector<std::vector<CharacterizationRecord>> independent;
+        for (const gate::Corner& corner : kCorners) {
+            independent.push_back(
+                collect_single(module, CharBackend::EventKernel, corner, 256, mode));
+        }
+        for (const unsigned threads : {1U, 4U}) {
+            CharacterizationOptions options =
+                sweep_options(CharBackend::EventKernel, threads);
+            options.corners = kCorners;
+            options.mode = mode;
+            CharRunStats stats;
+            options.stats = &stats;
+            const auto sweep = characterizer.collect_records_corners(module, options);
+            ASSERT_EQ(sweep.size(), kCorners.size());
+            EXPECT_EQ(stats.corner_calibration_pairs, 0U);
+            EXPECT_EQ(stats.calibration_pairs, 0U);
+            for (std::size_t k = 0; k < kCorners.size(); ++k) {
+                expect_identical_records(independent[k], sweep[k],
+                                         "event corner " + std::to_string(k) + " @" +
+                                             std::to_string(threads) + "t, " + label);
+            }
+        }
     }
 }
 
 TEST(CornerSweep, EventSweepIsBitIdenticalAcrossThreadCounts)
 {
-    // The transfer-weight path (calibration included) must be a pure
-    // function of the plan: any thread count produces the same bytes for
-    // every corner, approximated ones included. The 1-thread baseline runs
-    // the (corner x calibration shard) grid in serial order.
+    // The replay path must be a pure function of the plan: any thread count
+    // produces the same bytes for every corner.
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
     const Characterizer characterizer;
     CharacterizationOptions baseline_options =

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
+#include <vector>
 
 #include "dpgen/module.hpp"
 #include "gatelib/gate.hpp"
@@ -133,6 +135,86 @@ INSTANTIATE_TEST_SUITE_P(
         return dp::module_type_id(std::get<0>(info.param)) + "_w" +
                std::to_string(std::get<1>(info.param)) + "ps";
     });
+
+/// Corner-invariant timing: every (Vdd, T) corner of one load class
+/// simulates the nominal corner's integer-ps trajectory, so its toggle log
+/// equals the nominal one entry for entry, and replaying the nominal log
+/// under the corner's edge charges reproduces the corner's own apply()
+/// charge bit for bit — with and without input-charge accounting, on both
+/// schedulers. A different load class changes the timing.
+TEST(CornerReplay, LoadClassSharesTimingAndReplayIsExact)
+{
+    const TechLibrary& base = TechLibrary::generic350();
+    const std::vector<gate::Corner> corners = {
+        {3.0, 85.0, gate::LoadClass::Nominal},
+        {2.5, 85.0, gate::LoadClass::Nominal},
+        {2.7, 25.0, gate::LoadClass::Nominal},
+        {3.6, -40.0, gate::LoadClass::Nominal},
+    };
+    for (const dp::ModuleType type :
+         {dp::ModuleType::CsaMultiplier, dp::ModuleType::RippleAdder}) {
+        const dp::DatapathModule module = dp::make_module(type, 6);
+        const int m = module.total_input_bits();
+        const SimContext nominal{module.netlist(), base};
+        const SimContext heavy{module.netlist(),
+                               base.at({3.3, 25.0, gate::LoadClass::Heavy})};
+        EXPECT_FALSE(nominal.same_timing(heavy)) << module.netlist().name();
+
+        for (const bool count_input_charge : {true, false}) {
+            for (const SchedulerKind scheduler :
+                 {SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap}) {
+                EventSimOptions options;
+                options.count_input_charge = count_input_charge;
+                options.scheduler = scheduler;
+                for (const gate::Corner& corner : corners) {
+                    const std::string label =
+                        module.netlist().name() + " @" + corner.key() +
+                        (count_input_charge ? " in" : " no-in") +
+                        (scheduler == SchedulerKind::BinaryHeap ? " heap" : " wheel");
+                    const TechLibrary library = base.at(corner);
+                    ASSERT_NE(library.time_scale(), 1.0) << label;
+                    const SimContext context{module.netlist(), library};
+                    ASSERT_TRUE(nominal.same_timing(context)) << label;
+
+                    EventSimulator reference{nominal, options};
+                    EventSimulator at_corner{context, options};
+                    reference.set_toggle_log(true);
+                    at_corner.set_toggle_log(true);
+                    Rng rng{static_cast<std::uint64_t>(m) * 131 + 7};
+                    const BitVec first{m, rng.next_u64()};
+                    reference.initialize(first);
+                    at_corner.initialize(first);
+                    for (int trial = 0; trial < 80; ++trial) {
+                        const BitVec v{m, rng.next_u64()};
+                        if (trial % 2 == 1) { // pairs-mode re-initialization
+                            const BitVec u{m, rng.next_u64()};
+                            reference.initialize(u);
+                            at_corner.initialize(u);
+                        }
+                        const CycleResult nominal_cycle = reference.apply(v);
+                        const CycleResult corner_cycle = at_corner.apply(v);
+                        ASSERT_TRUE(std::ranges::equal(reference.cycle_toggle_log(),
+                                                       at_corner.cycle_toggle_log()))
+                            << label << " trial " << trial;
+                        EXPECT_EQ(nominal_cycle.transitions, corner_cycle.transitions);
+                        EXPECT_EQ(nominal_cycle.settle_time_ps,
+                                  corner_cycle.settle_time_ps);
+                        EXPECT_EQ(reference.cycle_toggle_log().size(),
+                                  corner_cycle.transitions);
+                        ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                                      reference.replay_charge(context.edge_charges_fc())),
+                                  std::bit_cast<std::uint64_t>(corner_cycle.charge_fc))
+                            << label << " trial " << trial;
+                        ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                                      reference.replay_charge(nominal.edge_charges_fc())),
+                                  std::bit_cast<std::uint64_t>(nominal_cycle.charge_fc))
+                            << label << " trial " << trial;
+                    }
+                }
+            }
+        }
+    }
+}
 
 TEST(EventSim, RepeatedInitializeIsStateless)
 {

@@ -234,6 +234,34 @@ TEST(Corner, ScalingLawsAreMonotoneInTheRightDirections)
                  util::PreconditionError);
 }
 
+TEST(Corner, DelayFactorBecomesATimeScaleNotACellScale)
+{
+    // at() records the corner's delay factor as the library's time scale
+    // and leaves the simulated cell delays alone, so every corner of one
+    // load class simulates the same timing; energies still scale.
+    const TechLibrary& base = TechLibrary::generic350();
+    EXPECT_EQ(base.time_scale(), 1.0);
+    EXPECT_EQ(base.at({3.3, 25.0, LoadClass::Heavy}).time_scale(), 1.0);
+    const Corner slow{2.5, 85.0, LoadClass::Nominal};
+    const TechLibrary lib = base.at(slow);
+    EXPECT_EQ(lib.time_scale(), base.corner_delay_scale(slow));
+    EXPECT_GT(lib.time_scale(), 1.0);
+    for (int k = 0; k < kNumGateKinds; ++k) {
+        const auto kind = static_cast<GateKind>(k);
+        EXPECT_EQ(lib.spec(kind).intrinsic_delay_ps, base.spec(kind).intrinsic_delay_ps)
+            << gate_name(kind);
+        EXPECT_EQ(lib.spec(kind).delay_per_ff_ps, base.spec(kind).delay_per_ff_ps)
+            << gate_name(kind);
+        EXPECT_EQ(lib.spec(kind).internal_energy_fj,
+                  base.spec(kind).internal_energy_fj * base.corner_energy_scale(slow))
+            << gate_name(kind);
+    }
+    // Deriving from a corner library keeps its time scale; a second at()
+    // compounds it.
+    EXPECT_EQ(lib.derived("copy", lib.vdd(), 1.0, 1.0, CellScaling{}).time_scale(),
+              lib.time_scale());
+}
+
 TEST(Corner, KeyAndParseRoundTrip)
 {
     EXPECT_EQ((Corner{3.3, 25.0, LoadClass::Nominal}).key(), "v3300t250n");

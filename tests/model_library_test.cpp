@@ -132,6 +132,39 @@ TEST_F(ModelLibraryTest, StaleOptionsRecharacterize)
     EXPECT_EQ(runs.load(), 2);
 }
 
+TEST(CharacterizationFingerprint, PinnedForDefaultAndIdentityCornerPlans)
+{
+    // Journals and .hdm models written before corner timing became a time
+    // scale must keep resuming and loading wherever the simulated timing
+    // did not change: the default corner, identity corners (native supply
+    // spelled out or as 0, any load class) — hex values pinned from the
+    // earlier law. A corner with a delay factor other than 1 is re-tagged.
+    const gate::TechLibrary& library = gate::TechLibrary::generic350();
+    const sim::EventSimOptions physics;
+    CharacterizationOptions options; // every plan knob at its default
+    EXPECT_EQ(characterization_fingerprint(options, physics, library),
+              0x12a430f01dca0f88ULL);
+    options.corner = gate::Corner{3.3, 25.0, gate::LoadClass::Nominal};
+    EXPECT_EQ(characterization_fingerprint(options, physics, library),
+              0x1d60f7d8d2229533ULL);
+
+    CharacterizationOptions emulation;
+    emulation.mode = StimulusMode::StratifiedPairs;
+    emulation.backend = CharBackend::PowerEmulation;
+    emulation.seed = 77;
+    EXPECT_EQ(characterization_fingerprint(emulation, physics, library),
+              0x6ae08612e12a7606ULL);
+    emulation.corner = gate::Corner{0.0, 25.0, gate::LoadClass::Heavy};
+    EXPECT_EQ(characterization_fingerprint(emulation, physics, library),
+              0x242dc0df5efd94e4ULL);
+
+    // 2.5 V / 85 °C: same options as the earlier law's 0x51820fe0b48a1ef1.
+    options.corner = gate::Corner{2.5, 85.0, gate::LoadClass::Nominal};
+    ASSERT_NE(library.corner_delay_scale(*options.corner), 1.0);
+    EXPECT_NE(characterization_fingerprint(options, physics, library),
+              0x51820fe0b48a1ef1ULL);
+}
+
 TEST_F(ModelLibraryTest, LegacyFileWithoutFingerprintRecharacterizes)
 {
     const ModelLibrary library{dir_};

@@ -274,7 +274,8 @@ TEST(PrototypeJournal, CompletedFitsAreResumedNotRecharacterized)
         std::ofstream out{journal, std::ios::trunc};
         out << "hdpm_protolib 1\n";
         out << "fingerprint " << std::hex
-            << characterization_fingerprint(options, characterizer.sim_options())
+            << characterization_fingerprint(options, characterizer.sim_options(),
+                                            characterizer.library())
             << std::dec << '\n';
         out << "module " << dp::module_type_id(ModuleType::RippleAdder) << '\n';
         out << "proto 0 " << widths[0] << '\n';

@@ -77,6 +77,25 @@ TEST(Electrical, CriticalPathGrowsWithWidth)
     EXPECT_GT(lv.total_cap_ff(), sv.total_cap_ff());
 }
 
+TEST(Electrical, RealTimeDelaysApplyTheCornerTimeScale)
+{
+    // The simulation timebase is the library's cell data; real-time delays
+    // and the critical path multiply by the corner's time scale.
+    const dp::DatapathModule module = dp::make_module(dp::ModuleType::RippleAdder, 4);
+    const TechLibrary& base = TechLibrary::generic350();
+    const ElectricalView nominal{module.netlist(), base};
+    const TechLibrary slow_lib = base.at({2.5, 85.0, gate::LoadClass::Nominal});
+    const ElectricalView slow{module.netlist(), slow_lib};
+    for (netlist::CellId cell = 0; cell < module.netlist().num_cells(); ++cell) {
+        EXPECT_EQ(nominal.timebase_delay_ps(cell), nominal.cell_delay_ps(cell));
+        EXPECT_EQ(slow.timebase_delay_ps(cell), nominal.timebase_delay_ps(cell));
+        EXPECT_NEAR(static_cast<double>(slow.cell_delay_ps(cell)),
+                    static_cast<double>(nominal.cell_delay_ps(cell)) * slow_lib.time_scale(),
+                    0.5 * slow_lib.time_scale() + 0.5);
+    }
+    EXPECT_GT(slow.critical_path_ps(), nominal.critical_path_ps());
+}
+
 TEST(EventSim, RequiresInitialize)
 {
     const Netlist nl = xor_chain(1);

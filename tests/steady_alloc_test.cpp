@@ -136,6 +136,44 @@ TEST_P(SteadyAllocTest, PairsCollectionDoesNotAllocatePerRecord)
         << small << " allocations, 1024 cost " << large;
 }
 
+/// Allocations of one single-shard, single-thread pairs-mode event sweep
+/// of @p n records over two corners of one load class: the shard is
+/// simulated once, with the toggle log on, and the second corner replays it.
+std::uint64_t sweep_allocations_for(const dp::DatapathModule& module, std::size_t n)
+{
+    CharacterizationOptions options;
+    options.max_transitions = n;
+    options.min_transitions = n;
+    options.batch = n;
+    options.shard_size = n;
+    options.threads = 1;
+    options.seed = 9;
+    options.mode = StimulusMode::StratifiedPairs;
+    options.corners = {gate::Corner{3.3, 25.0, gate::LoadClass::Nominal},
+                       gate::Corner{2.5, 85.0, gate::LoadClass::Nominal}};
+
+    const Characterizer characterizer;
+    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    const auto blocks = characterizer.collect_records_corners(module, options);
+    const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(blocks.size(), 2U);
+    EXPECT_EQ(blocks.back().size(), n);
+    return after - before;
+}
+
+TEST(SteadyAllocSweep, ToggleLogReplayDoesNotAllocatePerRecord)
+{
+    const dp::DatapathModule module =
+        dp::make_module(dp::ModuleType::CsaMultiplier, std::array<int, 1>{4});
+    (void)sweep_allocations_for(module, 256);
+    const std::uint64_t small = sweep_allocations_for(module, 256);
+    const std::uint64_t large = sweep_allocations_for(module, 1024);
+    EXPECT_LE(large, small + 64)
+        << "event sweep with the toggle log must not allocate per record: 256 "
+           "records cost "
+        << small << " allocations, 1024 cost " << large;
+}
+
 INSTANTIATE_TEST_SUITE_P(WarmupModes, SteadyAllocTest,
                          ::testing::Values(WarmupMode::Batched,
                                            WarmupMode::PerRecord),
