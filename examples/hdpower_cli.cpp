@@ -46,7 +46,7 @@ namespace {
               << "  list\n"
               << "  info <module> <width...>\n"
               << "  characterize <module> <width...> [--models DIR] [--budget N] "
-                 "[--enhanced [K]] [--threads N] [--warmup batched|per-record]\n"
+                 "[--enhanced [K]] [--threads N]\n"
                  "                                   [--checkpoint FILE] [--strict] "
                  "[--backend event|emulation] [--calibration N] [--shard-size N]\n"
                  "                                   [--corner VDD:TEMP[:LOAD]] "
@@ -61,8 +61,8 @@ namespace {
               << "  sweep <module> <wmin> <wmax> --data <I..V> [--models DIR] "
                  "[--budget N] [--threads N]\n"
               << "--threads 0 (the default) uses every hardware thread;\n"
-              << "characterization results are bit-identical for any thread count,\n"
-              << "either warm-up mode, and with or without a checkpoint journal.\n"
+              << "characterization results are bit-identical for any thread count\n"
+              << "and with or without a checkpoint journal.\n"
               << "--checkpoint FILE journals completed shards crash-safely so a\n"
               << "killed run resumes where it stopped; --strict makes the first\n"
               << "shard failure fatal instead of degrading coverage.\n"
@@ -102,7 +102,6 @@ struct Cli {
     std::size_t patterns = 2000;
     std::size_t top_k = 10;
     unsigned threads = 0;
-    core::WarmupMode warmup = core::WarmupMode::Batched;
     core::CharBackend backend = core::CharBackend::EventKernel;
     std::size_t calibration = 512;
     std::size_t shard_size = 0; ///< 0 = batch (part of the stimulus plan)
@@ -180,17 +179,6 @@ Cli parse_module_args(int argc, char** argv, int start)
             cli.top_k = std::stoul(next());
         } else if (flag == "--threads") {
             cli.threads = static_cast<unsigned>(std::stoul(next()));
-        } else if (flag == "--warmup") {
-            const std::string mode = next();
-            if (mode == "batched") {
-                cli.warmup = core::WarmupMode::Batched;
-            } else if (mode == "per-record") {
-                cli.warmup = core::WarmupMode::PerRecord;
-            } else {
-                std::cerr << "unknown warm-up mode '" << mode
-                          << "' (use batched or per-record)\n";
-                std::exit(2);
-            }
         } else if (flag == "--backend") {
             const std::string backend = next();
             if (backend == "event") {
@@ -262,7 +250,6 @@ core::CharacterizationOptions char_options(const Cli& cli)
     options.max_transitions = cli.budget;
     options.min_transitions = cli.budget / 2;
     options.threads = cli.threads;
-    options.warmup = cli.warmup;
     options.backend = cli.backend;
     options.calibration_pairs = cli.calibration;
     options.shard_size = cli.shard_size;
@@ -408,10 +395,13 @@ int cmd_characterize_corners(const Cli& cli)
     table.print(std::cout);
 
     if (stats.records > 0) {
-        std::cout << "collected " << stats.records << " transitions per corner ("
-                  << util::TextTable::fmt(stats.events_per_sec / 1e6, 2)
-                  << " M events/s) in "
-                  << util::TextTable::fmt(stats.collect_wall_ms, 1) << " ms on "
+        // Emulation runs process no scheduler events: no rate to print.
+        std::cout << "collected " << stats.records << " transitions per corner";
+        if (stats.sim_events > 0) {
+            std::cout << " (" << util::TextTable::fmt(stats.events_per_sec / 1e6, 2)
+                      << " M events/s)";
+        }
+        std::cout << " in " << util::TextTable::fmt(stats.collect_wall_ms, 1) << " ms on "
                   << stats.threads << " thread(s), " << stats.shards << " shards\n";
         std::cout << "backend: " << core::char_backend_name(stats.backend);
         if (stats.backend == core::CharBackend::PowerEmulation) {
@@ -471,18 +461,18 @@ int cmd_characterize(const Cli& cli)
                   << 100.0 * model.average_deviation() << "%\n";
         if (stats.records > 0) {
             std::cout << "collected " << stats.records << " transitions ("
-                      << stats.sim_transitions << " net toggles, "
-                      << util::TextTable::fmt(stats.events_per_sec / 1e6, 2)
-                      << " M events/s) in "
-                      << util::TextTable::fmt(stats.collect_wall_ms, 1) << " ms on "
+                      << stats.sim_transitions << " net toggles";
+            if (stats.sim_events > 0) {
+                std::cout << ", " << util::TextTable::fmt(stats.events_per_sec / 1e6, 2)
+                          << " M events/s";
+            }
+            std::cout << ") in " << util::TextTable::fmt(stats.collect_wall_ms, 1)
+                      << " ms on "
                       << stats.threads << " thread(s), " << stats.shards << " shards\n";
             if (stats.warmup_batches > 0) {
                 std::cout << "warm-up: " << stats.warmup_vectors
                           << " vectors settled word-parallel in "
                           << stats.warmup_batches << " 64-lane batches\n";
-            } else if (stats.warmup_vectors > 0) {
-                std::cout << "warm-up: " << stats.warmup_vectors
-                          << " vectors settled per record\n";
             }
             std::cout << "backend: " << core::char_backend_name(stats.backend);
             if (stats.backend == core::CharBackend::PowerEmulation) {

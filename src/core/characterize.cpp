@@ -250,6 +250,17 @@ std::vector<std::vector<std::size_t>> timing_groups(
     return groups;
 }
 
+/// The ShardException fault point every shard runner opens with.
+void throw_if_shard_fault(std::size_t shard)
+{
+    if (HDPM_FAULT_FIRE(util::FaultPoint::ShardException)) {
+        util::FaultContext fault_context;
+        fault_context.shard = static_cast<std::int64_t>(shard);
+        fault_context.detail = "injected shard failure";
+        throw util::FaultError{util::FaultKind::ShardFailed, std::move(fault_context)};
+    }
+}
+
 /// Event-kernel shard over the corners in @p contexts: exactly @p count
 /// transitions of shard @p shard, simulated once per timing group at the
 /// group's first context. That corner's block takes apply()'s charges; the
@@ -272,12 +283,7 @@ ShardResult run_shard_event_multi(std::span<const sim::SimContext* const> contex
                                        std::size_t shard, std::size_t count,
                                        const std::function<void()>& tick = {})
 {
-    if (HDPM_FAULT_FIRE(util::FaultPoint::ShardException)) {
-        util::FaultContext fault_context;
-        fault_context.shard = static_cast<std::int64_t>(shard);
-        fault_context.detail = "injected shard failure";
-        throw util::FaultError{util::FaultKind::ShardFailed, std::move(fault_context)};
-    }
+    throw_if_shard_fault(shard);
 
     ShardResult out;
     out.blocks.resize(contexts.size());
@@ -378,125 +384,6 @@ ShardResult run_shard_event_multi(std::span<const sim::SimContext* const> contex
         out.kernel.events_processed += kernel.events_processed;
         out.kernel.max_queue_depth =
             std::max(out.kernel.max_queue_depth, kernel.max_queue_depth);
-    }
-    return out;
-}
-
-/// Simulate exactly @p count transitions of shard @p shard at one context:
-/// the single-corner case of run_shard_event_multi.
-ShardResult run_shard(const sim::SimContext& context, int m, StimulusMode mode,
-                      const CharacterizationOptions& options,
-                      const sim::EventSimOptions& sim_options, std::size_t shard,
-                      std::size_t count, const std::function<void()>& tick = {})
-{
-    const sim::SimContext* const only = &context;
-    const std::vector<std::size_t> group{0};
-    return run_shard_event_multi({&only, 1}, {&group, 1}, m, mode, options, sim_options,
-                                 shard, count, tick);
-}
-
-/// Power-emulation shard: the *exact* stimulus stream run_shard would draw
-/// for the same (seed, shard), scored word-parallel instead of event by
-/// event. Pair charges are toggle-weighted sums of @p weights (per-net
-/// per-toggle charge with the calibrated glitch correction already folded
-/// in): 64 pairs per settle_pairs call in pairs mode, 63 transitions per
-/// settle pass in chain modes. No event simulator is constructed at all —
-/// this is the backend's whole speed argument.
-ShardResult run_shard_emulation(const sim::SimContext& context, int m,
-                                StimulusMode mode,
-                                const CharacterizationOptions& options,
-                                std::span<const double> weights, std::size_t shard,
-                                std::size_t count,
-                                const std::function<void()>& tick = {})
-{
-    if (HDPM_FAULT_FIRE(util::FaultPoint::ShardException)) {
-        util::FaultContext fault_context;
-        fault_context.shard = static_cast<std::int64_t>(shard);
-        fault_context.detail = "injected shard failure";
-        throw util::FaultError{util::FaultKind::ShardFailed, std::move(fault_context)};
-    }
-
-    ShardResult out;
-    std::vector<CharacterizationRecord>& records = out.blocks.emplace_back();
-    records.reserve(count);
-    StimulusStream stimulus{m, mode, options.seed, shard};
-    sim::BatchedEvaluator evaluator{context};
-
-    if (mode == StimulusMode::StratifiedPairs) {
-        constexpr std::size_t kLanes =
-            static_cast<std::size_t>(sim::BatchedEvaluator::kLanes);
-        std::array<BitVec, kLanes> u_block;
-        std::array<BitVec, kLanes> v_block;
-        std::array<std::pair<int, int>, kLanes> cls_block; // (hd, zeros)
-        std::array<double, kLanes> charges;
-
-        while (records.size() < count) {
-            if (tick) {
-                tick(); // mid-shard heartbeat hook, once per 64-pair batch
-            }
-            const std::size_t block =
-                std::min<std::size_t>(kLanes, count - records.size());
-            for (std::size_t j = 0; j < block; ++j) {
-                cls_block[j] = stimulus.next_pair(u_block[j], v_block[j]);
-            }
-            evaluator.settle_pairs({u_block.data(), block}, {v_block.data(), block});
-            out.emulation_passes += 2; // one settle per pair side
-            evaluator.weighted_pair_charges(weights, {charges.data(), block});
-            for (const std::uint8_t toggles : evaluator.toggle_counts_per_net()) {
-                out.sim_transitions += toggles;
-            }
-            for (std::size_t j = 0; j < block; ++j) {
-                CharacterizationRecord rec;
-                rec.hd = cls_block[j].first;
-                rec.stable_zeros = cls_block[j].second;
-                rec.charge_fc = charges[j];
-                rec.toggle_mask = (u_block[j] ^ v_block[j]).raw();
-                records.push_back(rec);
-            }
-        }
-        return out;
-    }
-
-    // Chain modes: materialize the shard's chain with Hd = 0 steps dropped
-    // — identical endpoints settle identically, so removing the duplicate
-    // vector leaves every kept adjacent pair (and its zero-delay charge)
-    // unchanged — then score it with the windowed weighted counter.
-    std::vector<BitVec> chain;
-    chain.reserve(count + 1);
-    std::vector<std::pair<int, int>> cls; // (hd, zeros) per kept transition
-    cls.reserve(count);
-    chain.push_back(stimulus.current());
-    while (cls.size() < count) {
-        if (tick && cls.size() % 64 == 0) {
-            tick();
-        }
-        const BitVec previous = chain.back();
-        const BitVec next = stimulus.chain_next();
-        const int hd = BitVec::hamming_distance(previous, next);
-        if (hd == 0) {
-            continue;
-        }
-        cls.emplace_back(hd, BitVec::stable_zeros(previous, next));
-        chain.push_back(next);
-    }
-    if (tick) {
-        tick();
-    }
-
-    std::vector<std::uint64_t> toggles;
-    const std::vector<double> charges =
-        evaluator.count_weighted_toggles(chain, weights, &toggles);
-    const std::size_t window_pairs =
-        static_cast<std::size_t>(sim::BatchedEvaluator::kLanes) - 1;
-    out.emulation_passes += (chain.size() - 2) / window_pairs + 1;
-    for (std::size_t i = 0; i < cls.size(); ++i) {
-        CharacterizationRecord rec;
-        rec.hd = cls[i].first;
-        rec.stable_zeros = cls[i].second;
-        rec.charge_fc = charges[i];
-        rec.toggle_mask = (chain[i] ^ chain[i + 1]).raw();
-        out.sim_transitions += toggles[i];
-        records.push_back(rec);
     }
     return out;
 }
@@ -755,12 +642,14 @@ struct EmulationCalibration {
     std::uint64_t event_pairs = 0;
 };
 
-/// Calibrate every corner in @p contexts on one run_calibration_grid and
-/// fit each corner from its timing group's shards. Each corner's fit reads
-/// the same toggle counts and the same event charges an independent
-/// single-corner run (the K = 1 call) computes, so its weight vector is
-/// bit-identical to that run's for any thread count.
+/// Calibrate every corner in @p contexts (timing groups @p groups) on one
+/// run_calibration_grid and fit each corner from its timing group's
+/// shards. Each corner's fit reads the same toggle counts and the same
+/// event charges an independent single-corner run (the K = 1 call)
+/// computes, so its weight vector is bit-identical to that run's for any
+/// thread count.
 EmulationCalibration calibrate_emulation(std::span<const sim::SimContext* const> contexts,
+                                         std::span<const std::vector<std::size_t>> groups,
                                          int m, StimulusMode mode,
                                          const CharacterizationOptions& options,
                                          const sim::EventSimOptions& sim_options,
@@ -775,7 +664,6 @@ EmulationCalibration calibrate_emulation(std::span<const sim::SimContext* const>
         return out;
     }
 
-    const std::vector<std::vector<std::size_t>> groups = timing_groups(contexts);
     const CalibrationGrid grid =
         run_calibration_grid(contexts, groups, m, mode, options, sim_options, pool);
     for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -792,37 +680,38 @@ EmulationCalibration calibrate_emulation(std::span<const sim::SimContext* const>
 }
 
 // ---------------------------------------------------------------------------
-// Multi-corner single-sweep emulation (docs/corners.md). The amortization
-// argument: zero-delay toggle activity is exactly invariant across
-// operating corners, so one stimulus sweep can score K corners by dotting
-// shared toggle vectors against K per-corner charge tables. (The event
-// kernel's counterpart is run_shard_event_multi: its toggle sequence is
-// invariant within a timing group.)
+// Power-emulation shards (docs/corners.md). The amortization argument:
+// zero-delay toggle activity is exactly invariant across operating corners,
+// so one stimulus sweep can score K corners by dotting shared toggle
+// vectors against K per-corner charge tables. (The event kernel's
+// counterpart is run_shard_event_multi: its toggle sequence is invariant
+// within a timing group.)
 // ---------------------------------------------------------------------------
 
-/// Power-emulation multi-corner shard: settle the stimulus once, score K
-/// corners with K weighted dot products over the shared toggle words.
-/// weight_sets[k] is corner k's independently calibrated weight vector, and
-/// each corner's charges come from the same weighted_pair_charges /
-/// count_weighted_toggles accumulation a single-corner run performs — so
-/// every corner's block is bit-identical to an independent
-/// run_shard_emulation at that corner.
+/// Power-emulation shard over the corners calibrated in @p corners: the
+/// *exact* stimulus stream run_shard_event_multi draws for the same
+/// (seed, shard), settled once word-parallel and scored K times. A corner's
+/// pair charges are toggle-weighted sums of its calibrated weights (per-net
+/// per-toggle charge with the glitch correction folded in): 64 pairs per
+/// settle_pairs call in pairs mode, 63 transitions per settle pass in chain
+/// modes. Every corner accumulates exactly as the K = 1 call would, so each
+/// block is bit-identical to a single-corner run at that corner. No event
+/// simulator is constructed at all — this is the backend's whole speed
+/// argument.
+///
+/// @p tick fires once per 64-pair block in pairs mode, and every 64 chain
+/// transitions plus once after chain generation in chain modes.
 ShardResult run_shard_emulation_multi(const sim::SimContext& context, int m,
-                                           StimulusMode mode,
-                                           const CharacterizationOptions& options,
-                                           std::span<const std::vector<double>> weight_sets,
-                                           std::size_t shard, std::size_t count)
+                                      StimulusMode mode,
+                                      const CharacterizationOptions& options,
+                                      std::span<const CalibrationResult> corners,
+                                      std::size_t shard, std::size_t count,
+                                      const std::function<void()>& tick = {})
 {
-    if (HDPM_FAULT_FIRE(util::FaultPoint::ShardException)) {
-        util::FaultContext fault_context;
-        fault_context.shard = static_cast<std::int64_t>(shard);
-        fault_context.detail = "injected shard failure";
-        throw util::FaultError{util::FaultKind::ShardFailed, std::move(fault_context)};
-    }
+    throw_if_shard_fault(shard);
 
-    const std::size_t corners = weight_sets.size();
     ShardResult out;
-    out.blocks.resize(corners);
+    out.blocks.resize(corners.size());
     for (auto& block : out.blocks) {
         block.reserve(count);
     }
@@ -834,19 +723,22 @@ ShardResult run_shard_emulation_multi(const sim::SimContext& context, int m,
             static_cast<std::size_t>(sim::BatchedEvaluator::kLanes);
         std::array<BitVec, kLanes> u_block;
         std::array<BitVec, kLanes> v_block;
-        std::array<std::pair<int, int>, kLanes> cls_block;
-        std::vector<std::array<double, kLanes>> charges(corners);
+        std::array<std::pair<int, int>, kLanes> cls_block; // (hd, zeros)
+        std::vector<std::array<double, kLanes>> charges(corners.size());
 
         while (out.blocks[0].size() < count) {
+            if (tick) {
+                tick(); // mid-shard heartbeat hook, once per 64-pair batch
+            }
             const std::size_t block =
                 std::min<std::size_t>(kLanes, count - out.blocks[0].size());
             for (std::size_t j = 0; j < block; ++j) {
                 cls_block[j] = stimulus.next_pair(u_block[j], v_block[j]);
             }
             evaluator.settle_pairs({u_block.data(), block}, {v_block.data(), block});
-            out.emulation_passes += 2;
-            for (std::size_t k = 0; k < corners; ++k) {
-                evaluator.weighted_pair_charges(weight_sets[k],
+            out.emulation_passes += 2; // one settle per pair side
+            for (std::size_t k = 0; k < corners.size(); ++k) {
+                evaluator.weighted_pair_charges(corners[k].weights,
                                                 {charges[k].data(), block});
             }
             for (const std::uint8_t toggles : evaluator.toggle_counts_per_net()) {
@@ -857,7 +749,7 @@ ShardResult run_shard_emulation_multi(const sim::SimContext& context, int m,
                 rec.hd = cls_block[j].first;
                 rec.stable_zeros = cls_block[j].second;
                 rec.toggle_mask = (u_block[j] ^ v_block[j]).raw();
-                for (std::size_t k = 0; k < corners; ++k) {
+                for (std::size_t k = 0; k < corners.size(); ++k) {
                     rec.charge_fc = charges[k][j];
                     out.blocks[k].push_back(rec);
                 }
@@ -866,12 +758,19 @@ ShardResult run_shard_emulation_multi(const sim::SimContext& context, int m,
         return out;
     }
 
+    // Chain modes: materialize the shard's chain with Hd = 0 steps dropped
+    // — identical endpoints settle identically, so removing the duplicate
+    // vector leaves every kept adjacent pair (and its zero-delay charge)
+    // unchanged — then score it with the windowed weighted counter.
     std::vector<BitVec> chain;
     chain.reserve(count + 1);
-    std::vector<std::pair<int, int>> cls;
+    std::vector<std::pair<int, int>> cls; // (hd, zeros) per kept transition
     cls.reserve(count);
     chain.push_back(stimulus.current());
     while (cls.size() < count) {
+        if (tick && cls.size() % 64 == 0) {
+            tick(); // mid-shard heartbeat hook, every 64 chain transitions
+        }
         const BitVec previous = chain.back();
         const BitVec next = stimulus.chain_next();
         const int hd = BitVec::hamming_distance(previous, next);
@@ -881,15 +780,18 @@ ShardResult run_shard_emulation_multi(const sim::SimContext& context, int m,
         cls.emplace_back(hd, BitVec::stable_zeros(previous, next));
         chain.push_back(next);
     }
-
-    std::vector<std::span<const double>> weight_spans;
-    weight_spans.reserve(corners);
-    for (const std::vector<double>& w : weight_sets) {
-        weight_spans.emplace_back(w);
+    if (tick) {
+        tick();
     }
-    std::vector<std::vector<double>> charges(corners);
+
+    std::vector<std::span<const double>> weight_sets;
+    weight_sets.reserve(corners.size());
+    for (const CalibrationResult& corner : corners) {
+        weight_sets.emplace_back(corner.weights);
+    }
+    std::vector<std::vector<double>> charges(corners.size());
     std::vector<std::uint64_t> toggles;
-    evaluator.count_weighted_toggles_multi(chain, weight_spans, charges, &toggles);
+    evaluator.count_weighted_toggles_multi(chain, weight_sets, charges, &toggles);
     const std::size_t window_pairs =
         static_cast<std::size_t>(sim::BatchedEvaluator::kLanes) - 1;
     out.emulation_passes += (chain.size() - 2) / window_pairs + 1;
@@ -898,7 +800,7 @@ ShardResult run_shard_emulation_multi(const sim::SimContext& context, int m,
         rec.hd = cls[i].first;
         rec.stable_zeros = cls[i].second;
         rec.toggle_mask = (chain[i] ^ chain[i + 1]).raw();
-        for (std::size_t k = 0; k < corners; ++k) {
+        for (std::size_t k = 0; k < corners.size(); ++k) {
             rec.charge_fc = charges[k][i];
             out.blocks[k].push_back(rec);
         }
@@ -907,9 +809,94 @@ ShardResult run_shard_emulation_multi(const sim::SimContext& context, int m,
     return out;
 }
 
-/// A run_shard call's outcome: the shard result, or the exception it threw
-/// (captured so a failing shard never takes its wave's siblings down with
-/// it — the merge loop decides whether to rethrow or degrade).
+/// A characterization plan compiled for K corners — K = 1 for a
+/// single-corner run, whose corner may be the library's own. It holds
+/// everything a shard needs: one immutable SimContext per corner (shared
+/// read-only by every shard's private simulator), the corners' timing
+/// groups, the fixed shard geometry and, on the emulation backend, every
+/// corner's calibrated weights. collect_records, collect_records_corners
+/// and ShardRunner all run their shards through run(), so a shard's record
+/// blocks are the same computation whoever schedules it.
+struct ShardPlan {
+    /// Compile the plan for @p corners (unset = @p library as given). The
+    /// emulation calibration runs here, on @p pool: it is a pure function
+    /// of the stimulus plan (its shard ids reuse the sharded seed scheme,
+    /// offset into their own half of the id space), so every process and
+    /// every resumed run recomputes the identical weights.
+    ShardPlan(const dp::DatapathModule& module, const gate::TechLibrary& library,
+              std::span<const std::optional<gate::Corner>> corners,
+              const CharacterizationOptions& plan_options,
+              const sim::EventSimOptions& plan_sim_options, const util::ThreadPool& pool)
+        : options(plan_options), sim_options(plan_sim_options),
+          m(module.total_input_bits()),
+          mode(options.mode.value_or(StimulusMode::StratifiedChain)),
+          shard_size(options.shard_size != 0 ? options.shard_size : options.batch)
+    {
+        HDPM_REQUIRE(m >= 1 && m <= BitVec::kMaxWidth, "module input width out of range");
+        HDPM_REQUIRE(options.batch >= 1, "batch must be positive");
+        // Fixed shard geometry: the stimulus plan depends on (seed,
+        // shard_size, max_transitions) only — never on the thread count.
+        num_shards = (options.max_transitions + shard_size - 1) / shard_size;
+
+        // SimContext consumes the library during construction, so a derived
+        // corner library may die right after.
+        for (const std::optional<gate::Corner>& corner : corners) {
+            if (corner.has_value()) {
+                contexts.push_back(
+                    std::make_unique<sim::SimContext>(module.netlist(), library.at(*corner)));
+            } else {
+                contexts.push_back(std::make_unique<sim::SimContext>(module.netlist(), library));
+            }
+            context_ptrs.push_back(contexts.back().get());
+        }
+        // Corners that simulate the same timing (one load class) share one
+        // event-kernel pass: the event backend simulates each group once
+        // per shard, and the emulation backend calibrates each group once.
+        // Either way every corner is scored from its own edge charges,
+        // exactly as its independent run would be.
+        groups = timing_groups(context_ptrs);
+
+        const auto calibrate_start = std::chrono::steady_clock::now();
+        if (options.backend == CharBackend::PowerEmulation) {
+            calibration = calibrate_emulation(context_ptrs, groups, m, mode, options,
+                                              sim_options, pool);
+        }
+        calibrate_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - calibrate_start)
+                           .count();
+    }
+
+    /// Simulate shard @p shard on the plan's backend: one record block per
+    /// corner. @p tick is the runners' mid-shard heartbeat hook.
+    [[nodiscard]] ShardResult run(std::size_t shard,
+                                  const std::function<void()>& tick = {}) const
+    {
+        const std::size_t planned =
+            std::min(shard_size, options.max_transitions - shard * shard_size);
+        if (options.backend == CharBackend::PowerEmulation) {
+            return run_shard_emulation_multi(*contexts.front(), m, mode, options,
+                                             calibration.corners, shard, planned, tick);
+        }
+        return run_shard_event_multi(context_ptrs, groups, m, mode, options, sim_options,
+                                     shard, planned, tick);
+    }
+
+    CharacterizationOptions options;
+    sim::EventSimOptions sim_options;
+    int m;
+    StimulusMode mode;
+    std::size_t shard_size;
+    std::size_t num_shards = 0;
+    std::vector<std::unique_ptr<sim::SimContext>> contexts;
+    std::vector<const sim::SimContext*> context_ptrs;
+    std::vector<std::vector<std::size_t>> groups;
+    EmulationCalibration calibration; ///< empty on the event backend
+    double calibrate_ms = 0.0;
+};
+
+/// A ShardPlan::run call's outcome: the shard result, or the exception it
+/// threw (captured so a failing shard never takes its wave's siblings down
+/// with it — the merge loop decides whether to rethrow or degrade).
 struct ShardOutcome {
     std::optional<ShardResult> result;
     std::exception_ptr error;
@@ -925,6 +912,15 @@ void quarantine_checkpoint(const std::filesystem::path& path)
     if (ec) {
         std::filesystem::remove(path, ec);
     }
+}
+
+/// A ShardRunner plan's one corner. Sweeps are collected in-process only.
+std::vector<std::optional<gate::Corner>> runner_corner(const CharacterizationOptions& options)
+{
+    HDPM_REQUIRE(options.corners.empty(),
+                 "ShardRunner plans are single-corner; sweeps use "
+                 "collect_records_corners");
+    return {options.corner};
 }
 
 } // namespace
@@ -944,66 +940,33 @@ std::string module_journal_key(const dp::DatapathModule& module)
 
 // ---------------------------------------------------------------------------
 // ShardRunner / ShardMerger — the distribution-facing faces of the sharded
-// plan. ShardRunner reuses the exact per-shard simulation entry points the
-// in-process thread pool schedules (run_shard / run_shard_emulation), and
-// ShardMerger is the merge-and-convergence loop collect_records itself runs
-// on, so "merge worker-journaled blocks in shard order" and "run everything
-// in one process" are the same computation by construction.
+// plan. ShardRunner runs shards through the same ShardPlan the in-process
+// thread pool schedules, and ShardMerger is the merge-and-convergence loop
+// collect_records itself runs on, so "merge worker-journaled blocks in
+// shard order" and "run everything in one process" are the same
+// computation by construction.
 // ---------------------------------------------------------------------------
 
 struct ShardRunner::Impl {
-    Impl(const dp::DatapathModule& module, CharacterizationOptions opts,
-         const gate::TechLibrary& library, sim::EventSimOptions sim_opts)
-        : options(std::move(opts)), sim_options(sim_opts),
-          corner_library(options.corner.has_value()
-                             ? std::optional<gate::TechLibrary>(
-                                   library.at(*options.corner))
-                             : std::nullopt),
-          context(module.netlist(),
-                  corner_library.has_value() ? *corner_library : library),
-          m(module.total_input_bits()),
-          mode(options.mode.value_or(StimulusMode::StratifiedChain)),
-          shard_size(options.shard_size != 0 ? options.shard_size : options.batch),
-          num_shards((options.max_transitions + shard_size - 1) / shard_size),
+    Impl(const dp::DatapathModule& module, const CharacterizationOptions& options,
+         const gate::TechLibrary& library, const sim::EventSimOptions& sim_options)
+        : plan(module, library, runner_corner(options), options, sim_options,
+               util::ThreadPool{options.threads}),
           fingerprint(characterization_fingerprint(options, sim_options, library)),
           module_key(module_journal_key(module))
     {
-        HDPM_REQUIRE(m >= 1 && m <= BitVec::kMaxWidth,
-                     "module input width out of range");
-        HDPM_REQUIRE(options.batch >= 1, "batch must be positive");
-        HDPM_REQUIRE(options.corners.empty(),
-                     "ShardRunner plans are single-corner; sweeps use "
-                     "collect_records_corners");
-        if (options.backend == CharBackend::PowerEmulation) {
-            // Calibration is a pure function of the stimulus plan, so every
-            // process that runs shards of this plan computes the identical
-            // weight vector.
-            const util::ThreadPool pool{options.threads};
-            const sim::SimContext* const only = &context;
-            calibration = std::move(
-                calibrate_emulation({&only, 1}, m, mode, options, sim_options, pool)
-                    .corners.front());
-        }
     }
 
-    CharacterizationOptions options;
-    sim::EventSimOptions sim_options;
-    std::optional<gate::TechLibrary> corner_library; // set iff options.corner
-    sim::SimContext context;
-    int m;
-    StimulusMode mode;
-    std::size_t shard_size;
-    std::size_t num_shards;
+    ShardPlan plan;
     std::uint64_t fingerprint;
     std::string module_key;
-    CalibrationResult calibration;
 };
 
 ShardRunner::ShardRunner(const dp::DatapathModule& module,
                          CharacterizationOptions options,
                          const gate::TechLibrary& library,
                          sim::EventSimOptions sim_options)
-    : impl_(std::make_unique<Impl>(module, std::move(options), library, sim_options))
+    : impl_(std::make_unique<Impl>(module, options, library, sim_options))
 {
 }
 
@@ -1011,17 +974,17 @@ ShardRunner::~ShardRunner() = default;
 
 std::size_t ShardRunner::num_shards() const noexcept
 {
-    return impl_->num_shards;
+    return impl_->plan.num_shards;
 }
 
 std::size_t ShardRunner::shard_size() const noexcept
 {
-    return impl_->shard_size;
+    return impl_->plan.shard_size;
 }
 
 int ShardRunner::input_bits() const noexcept
 {
-    return impl_->m;
+    return impl_->plan.m;
 }
 
 std::uint64_t ShardRunner::fingerprint() const noexcept
@@ -1037,17 +1000,8 @@ const std::string& ShardRunner::module_key() const noexcept
 std::vector<CharacterizationRecord> ShardRunner::run(std::size_t shard,
                                                      const TickFn& tick) const
 {
-    HDPM_REQUIRE(shard < impl_->num_shards, "shard index outside the plan");
-    const std::size_t planned = std::min(
-        impl_->shard_size, impl_->options.max_transitions - shard * impl_->shard_size);
-    ShardResult result =
-        impl_->options.backend == CharBackend::PowerEmulation
-            ? run_shard_emulation(impl_->context, impl_->m, impl_->mode,
-                                  impl_->options, impl_->calibration.weights, shard,
-                                  planned, tick)
-            : run_shard(impl_->context, impl_->m, impl_->mode, impl_->options,
-                        impl_->sim_options, shard, planned, tick);
-    return std::move(result.blocks.front());
+    HDPM_REQUIRE(shard < impl_->plan.num_shards, "shard index outside the plan");
+    return std::move(impl_->plan.run(shard, tick).blocks.front());
 }
 
 struct ShardMerger::Impl {
@@ -1120,132 +1074,138 @@ std::vector<CharacterizationRecord> ShardMerger::take_records()
     return std::move(impl_->records);
 }
 
-std::vector<CharacterizationRecord> Characterizer::collect_records(
-    const dp::DatapathModule& module, const CharacterizationOptions& options) const
+namespace {
+
+/// One record stream of a collect run: the corner it is scored at (unset =
+/// the library's own), its checkpoint journal path and the plan
+/// fingerprint that journal is stamped with.
+struct CornerJournal {
+    std::optional<gate::Corner> corner;
+    std::filesystem::path path;
+    std::uint64_t fingerprint = 0;
+};
+
+/// The one collect executor: compile the plan for the corners of
+/// @p entries, resume their journals, run the remaining shards in pool
+/// waves and merge every corner's block into its own ShardMerger in shard
+/// order. collect_records is its K = 1 call, collect_records_corners the
+/// K-corner one. Overwrites options.stats with this run's counters;
+/// CharRunStats::corners is left 0 for the sweep entry point to set.
+std::vector<std::vector<CharacterizationRecord>> collect_plan(
+    const dp::DatapathModule& module, const gate::TechLibrary& library,
+    const sim::EventSimOptions& sim_options, const CharacterizationOptions& options,
+    std::span<const CornerJournal> entries)
 {
-    const int m = module.total_input_bits();
-    HDPM_REQUIRE(m >= 1 && m <= BitVec::kMaxWidth, "module input width out of range");
-    HDPM_REQUIRE(options.batch >= 1, "batch must be positive");
     HDPM_REQUIRE(options.checkpoint_every >= 1, "checkpoint_every must be positive");
-    HDPM_REQUIRE(options.corners.empty(),
-                 "multi-corner sweeps go through collect_records_corners");
-
     const auto start = std::chrono::steady_clock::now();
-    const StimulusMode mode = options.mode.value_or(StimulusMode::StratifiedChain);
-
-    // One immutable context (electrical view, fanout CSR, topo order) shared
-    // read-only by every shard's private EventSimulator. A corner-qualified
-    // run derives the scaled library first; SimContext consumes the library
-    // during construction, so the derived temporary may die right after.
-    std::optional<sim::SimContext> owned_context;
-    if (options.corner.has_value()) {
-        owned_context.emplace(module.netlist(), library_->at(*options.corner));
-    } else {
-        owned_context.emplace(module.netlist(), *library_);
+    const std::size_t corners = entries.size();
+    std::vector<std::optional<gate::Corner>> plan_corners;
+    plan_corners.reserve(corners);
+    for (const CornerJournal& entry : entries) {
+        plan_corners.push_back(entry.corner);
     }
-    const sim::SimContext& context = *owned_context;
-
-    // Fixed shard geometry: the stimulus plan depends on (seed, shard_size,
-    // max_transitions) only — never on the thread count.
-    const std::size_t shard_size =
-        options.shard_size != 0 ? options.shard_size : options.batch;
-    const std::size_t num_shards =
-        (options.max_transitions + shard_size - 1) / shard_size;
-
     const util::ThreadPool pool{options.threads};
-
-    // Power-emulation backend: calibrate the per-net weight vector up front
-    // by running a small deterministic subsample through the event kernel.
-    // Calibration is a pure function of the stimulus plan (its shard ids
-    // reuse the sharded seed scheme, offset into their own half of the id
-    // space), so a resumed run recomputes the identical weights — nothing
-    // about it needs journaling.
+    const ShardPlan plan{module, library, plan_corners, options, sim_options, pool};
+    const int m = plan.m;
+    const std::size_t num_shards = plan.num_shards;
     const bool emulation = options.backend == CharBackend::PowerEmulation;
-    EmulationCalibration calibration;
-    calibration.corners.resize(1);
-    const auto calibrate_start = std::chrono::steady_clock::now();
-    if (emulation) {
-        const sim::SimContext* const only = &context;
-        calibration = calibrate_emulation({&only, 1}, m, mode, options, sim_options_, pool);
+
+    // One merger per corner, each running the identical merge-and-convergence
+    // loop its independent single-corner run would — so each corner's
+    // stopping point (and record stream) matches that run exactly. Basic Hd
+    // classes suffice for chain modes; pairs mode monitors (hd, zeros)
+    // jointly via basic bins as well (a conservative criterion). A sweep
+    // stops simulating only once every corner has converged; blocks merged
+    // into an already-converged merger are discarded, exactly as a run
+    // discards shards simulated ahead of its stop.
+    std::vector<std::unique_ptr<ShardMerger>> mergers;
+    mergers.reserve(corners);
+    for (std::size_t k = 0; k < corners; ++k) {
+        mergers.push_back(std::make_unique<ShardMerger>(m, options));
     }
-    const CalibrationResult& glitch = calibration.corners.front();
-    const double calibrate_ms = std::chrono::duration<double, std::milli>(
-                                    std::chrono::steady_clock::now() - calibrate_start)
-                                    .count();
+    const auto all_converged = [&] {
+        return std::all_of(mergers.begin(), mergers.end(),
+                           [](const auto& merger) { return merger->converged(); });
+    };
 
-    // The merge-and-convergence loop, shared with the fleet coordinator:
-    // basic Hd classes suffice for chain modes; pairs mode monitors
-    // (hd, zeros) jointly via basic bins as well (a conservative criterion).
-    ShardMerger merger{m, options};
+    // This run's counters, published to options.stats once it completes.
+    CharRunStats run;
+    run.threads = pool.size();
+    run.backend = options.backend;
+    run.calibration_pairs = plan.calibration.event_pairs;
+    run.calibration_scale = emulation ? plan.calibration.corners.front().scale : 1.0;
+    run.calibrate_ms = plan.calibrate_ms;
 
-    std::size_t shards_merged = 0;
-    std::uint64_t sim_transitions = 0;
-    std::uint64_t sim_events = 0;
-    std::uint64_t warmup_vectors = 0;
-    std::uint64_t warmup_batches = 0;
-    std::uint64_t emulated_pairs = 0;
-    std::uint64_t emulation_passes = 0;
-    std::size_t max_queue_depth = 0;
-
-    // Checkpoint/resume setup. The journal is stamped with the same options
+    // Checkpoint/resume setup. Each journal is stamped with the options
     // fingerprint the model library uses plus the module identity; only a
     // journal from the identical stimulus plan is resumed — anything else
     // is a leftover of some other run and is discarded (corrupt journals
-    // are additionally quarantined for inspection).
+    // are additionally quarantined for inspection). A sweep publishes its K
+    // journals in lockstep at the same shard boundaries. A crash between
+    // the K file publishes leaves journals of different lengths; resume
+    // takes the minimum valid prefix over all corners and re-simulates the
+    // rest, so lockstep is self-healing rather than load-bearing.
     const bool checkpointing = !options.checkpoint.empty();
-    CharCheckpoint journal;
-    std::vector<CheckpointShard> resumed_shards;
-    std::size_t checkpoints_published = 0;
-    bool checkpoint_discarded = false;
-    bool checkpoint_salvaged = false;
+    std::vector<CharCheckpoint> journals(corners);
+    std::vector<std::vector<CheckpointShard>> resumed(corners);
+    std::size_t resume_len = 0;
     if (checkpointing) {
-        journal.fingerprint = characterization_fingerprint(options, sim_options_, *library_);
-        journal.module_key = module_journal_key(module);
-        journal.input_bits = m;
-        {
-            // A .tmp sibling is the debris of a run killed mid-publish.
-            std::error_code ec;
-            std::filesystem::remove(options.checkpoint.string() + ".tmp", ec);
-        }
-        const auto matches_plan = [&](const CharCheckpoint& loaded) {
-            return loaded.fingerprint == journal.fingerprint &&
-                   loaded.module_key == journal.module_key &&
-                   loaded.input_bits == m && loaded.shards.size() <= num_shards;
-        };
-        try {
-            if (auto loaded = load_checkpoint(options.checkpoint)) {
-                if (matches_plan(*loaded)) {
-                    resumed_shards = std::move(loaded->shards);
-                } else {
-                    checkpoint_discarded = true;
+        resume_len = num_shards; // min over corners below
+        for (std::size_t k = 0; k < corners; ++k) {
+            const std::filesystem::path& path = entries[k].path;
+            journals[k].fingerprint = entries[k].fingerprint;
+            journals[k].module_key = module_journal_key(module);
+            journals[k].input_bits = m;
+            {
+                // A .tmp sibling is the debris of a run killed mid-publish.
+                std::error_code ec;
+                std::filesystem::remove(path.string() + ".tmp", ec);
+            }
+            const auto matches_plan = [&](const CharCheckpoint& loaded) {
+                return loaded.fingerprint == journals[k].fingerprint &&
+                       loaded.module_key == journals[k].module_key &&
+                       loaded.input_bits == m && loaded.shards.size() <= num_shards;
+            };
+            try {
+                if (auto loaded = load_checkpoint(path)) {
+                    if (matches_plan(*loaded)) {
+                        resumed[k] = std::move(loaded->shards);
+                    } else {
+                        run.checkpoint_discarded = true;
+                    }
+                }
+            } catch (const util::FaultError& error) {
+                if (error.kind() != util::FaultKind::CheckpointCorrupt) {
+                    throw;
+                }
+                // Tolerant second read: a torn tail (the short write of a
+                // killed run) still holds every shard block that published
+                // whole. Keep that prefix — it re-merges bit-identically —
+                // and set the damaged file aside as evidence; the tail is
+                // re-simulated.
+                CheckpointSalvage salvage = salvage_checkpoint(path);
+                quarantine_checkpoint(path);
+                run.checkpoint_discarded = true;
+                if (salvage.checkpoint.has_value() &&
+                    matches_plan(*salvage.checkpoint) &&
+                    !salvage.checkpoint->shards.empty()) {
+                    resumed[k] = std::move(salvage.checkpoint->shards);
+                    run.checkpoint_salvaged = true;
                 }
             }
-        } catch (const util::FaultError& error) {
-            if (error.kind() != util::FaultKind::CheckpointCorrupt) {
-                throw;
-            }
-            // Tolerant second read: a torn tail (the short write of a killed
-            // run) still holds every shard block that published whole. Keep
-            // that prefix — it re-merges bit-identically — and set the
-            // damaged file aside as evidence; the tail is re-simulated.
-            CheckpointSalvage salvage = salvage_checkpoint(options.checkpoint);
-            quarantine_checkpoint(options.checkpoint);
-            checkpoint_discarded = true;
-            if (salvage.checkpoint.has_value() && matches_plan(*salvage.checkpoint) &&
-                !salvage.checkpoint->shards.empty()) {
-                resumed_shards = std::move(salvage.checkpoint->shards);
-                checkpoint_salvaged = true;
-            }
+            resume_len = std::min(resume_len, resumed[k].size());
+        }
+        for (std::size_t k = 0; k < corners; ++k) {
+            resumed[k].resize(resume_len);
         }
     }
 
-    std::vector<ShardFailure> shard_failures;
     std::exception_ptr first_failure;
 
     const auto report_progress = [&] {
         if (options.progress) {
-            options.progress(CharProgress{shards_merged, num_shards,
-                                          merger.records().size(),
+            options.progress(CharProgress{run.shards, num_shards,
+                                          mergers[0]->records().size(),
                                           options.max_transitions});
         }
     };
@@ -1269,147 +1229,141 @@ std::vector<CharacterizationRecord> Characterizer::collect_records(
             if (options.strict_faults) {
                 throw;
             }
-            shard_failures.push_back(
+            run.shard_failures.push_back(
                 ShardFailure{shard, fault.kind(), fault.what()});
         } catch (const std::exception& e) {
             if (options.strict_faults) {
                 throw;
             }
-            shard_failures.push_back(
+            run.shard_failures.push_back(
                 ShardFailure{shard, util::FaultKind::ShardFailed, e.what()});
         }
     };
 
-    // Replay the journaled prefix through the merge loop (no simulation).
-    // Replayed shards pass through the identical ShardMerger path as
-    // freshly simulated ones, which is what makes a resumed run reproduce
-    // the uninterrupted record stream — the stopping point included — bit
-    // for bit.
-    const std::size_t resumed_count = resumed_shards.size();
-    for (CheckpointShard& shard : resumed_shards) {
-        merger.merge(shard.records);
-        journal.shards.push_back(std::move(shard));
-        ++shards_merged;
-        report_progress();
-        if (merger.converged()) {
-            break;
+    // Replay the common journaled prefix through the merge loops (no
+    // simulation). Replayed shards pass through the identical ShardMerger
+    // path as freshly simulated ones, which is what makes a resumed run
+    // reproduce the uninterrupted record stream — the stopping point
+    // included — bit for bit.
+    for (std::size_t r = 0; r < resume_len && !all_converged(); ++r) {
+        for (std::size_t k = 0; k < corners; ++k) {
+            mergers[k]->merge(resumed[k][r].records);
+            journals[k].shards.push_back(std::move(resumed[k][r]));
         }
+        ++run.shards;
+        report_progress();
     }
-    const std::size_t shards_resumed = shards_merged;
+    run.shards_resumed = run.shards;
     std::size_t unpublished = 0;
 
     // Run the remaining shards in waves of pool.size() and merge each wave
     // in shard order. Convergence is evaluated over the merged stream at
     // batch boundaries, so the stopping point — like every record before it
     // — is a pure function of the stimulus plan.
-    for (std::size_t wave_start = resumed_count;
-         wave_start < num_shards && !merger.converged(); wave_start += pool.size()) {
+    for (std::size_t wave_start = resume_len;
+         wave_start < num_shards && !all_converged(); wave_start += pool.size()) {
         const std::size_t wave =
             std::min<std::size_t>(pool.size(), num_shards - wave_start);
         auto results = pool.parallel_map(wave, [&](std::size_t i) {
-            const std::size_t shard = wave_start + i;
-            const std::size_t planned =
-                std::min(shard_size, options.max_transitions - shard * shard_size);
             ShardOutcome outcome;
             try {
-                outcome.result =
-                    emulation ? run_shard_emulation(context, m, mode, options,
-                                                    glitch.weights, shard,
-                                                    planned)
-                              : run_shard(context, m, mode, options, sim_options_,
-                                          shard, planned);
+                outcome.result = plan.run(wave_start + i);
             } catch (...) {
                 outcome.error = std::current_exception();
             }
             return outcome;
         });
 
-        for (std::size_t i = 0; i < results.size() && !merger.converged(); ++i) {
+        for (std::size_t i = 0; i < results.size() && !all_converged(); ++i) {
             const std::size_t shard = wave_start + i;
             ShardOutcome& outcome = results[i];
             if (outcome.error != nullptr) {
                 handle_shard_failure(shard, outcome.error);
-                // The journal stays a contiguous prefix: a failed shard is
-                // recorded as an empty block (resuming past it reproduces
-                // this degraded run's record stream).
-                if (checkpointing) {
-                    journal.shards.push_back(CheckpointShard{shard, {}});
-                    ++unpublished;
-                }
+                // A failed shard journals as empty blocks, so the journals
+                // stay contiguous prefixes (resuming past it reproduces this
+                // degraded run's record stream).
+                outcome.result.emplace().blocks.resize(corners);
             } else {
-                ShardResult& result = *outcome.result;
-                std::vector<CharacterizationRecord>& block = result.blocks.front();
-                merger.merge(block);
-                sim_transitions += result.sim_transitions;
-                sim_events += result.kernel.events_processed;
-                warmup_vectors += result.warmup_vectors;
-                warmup_batches += result.warmup_batches;
-                emulation_passes += result.emulation_passes;
+                const ShardResult& result = *outcome.result;
+                for (std::size_t k = 0; k < corners; ++k) {
+                    mergers[k]->merge(result.blocks[k]);
+                }
+                run.sim_transitions += result.sim_transitions;
+                run.sim_events += result.kernel.events_processed;
+                run.warmup_vectors += result.warmup_vectors;
+                run.warmup_batches += result.warmup_batches;
+                run.emulation_passes += result.emulation_passes;
                 if (emulation) {
-                    emulated_pairs += block.size();
+                    run.emulated_pairs += result.blocks[0].size() * corners;
                 }
-                max_queue_depth =
-                    std::max(max_queue_depth, result.kernel.max_queue_depth);
-                ++shards_merged;
-                if (checkpointing) {
-                    journal.shards.push_back(
-                        CheckpointShard{shard, std::move(block)});
-                    ++unpublished;
+                run.max_queue_depth =
+                    std::max(run.max_queue_depth, result.kernel.max_queue_depth);
+                ++run.shards;
+            }
+            if (checkpointing) {
+                for (std::size_t k = 0; k < corners; ++k) {
+                    journals[k].shards.push_back(
+                        CheckpointShard{shard, std::move(outcome.result->blocks[k])});
                 }
+                ++unpublished;
             }
             report_progress();
-            if (checkpointing && !merger.converged() &&
+            if (checkpointing && !all_converged() &&
                 unpublished >= options.checkpoint_every) {
-                save_checkpoint(options.checkpoint, journal);
+                for (std::size_t k = 0; k < corners; ++k) {
+                    save_checkpoint(entries[k].path, journals[k]);
+                }
                 unpublished = 0;
-                ++checkpoints_published;
+                ++run.checkpoints_published;
             }
         }
     }
 
-    std::vector<CharacterizationRecord> records = merger.take_records();
-    if (records.empty() && first_failure != nullptr) {
+    std::vector<std::vector<CharacterizationRecord>> records;
+    records.reserve(corners);
+    bool any_records = false;
+    for (std::size_t k = 0; k < corners; ++k) {
+        records.push_back(mergers[k]->take_records());
+        any_records = any_records || !records.back().empty();
+    }
+    if (!any_records && first_failure != nullptr) {
         // Degraded continuation produced nothing at all — that is not a
         // result, it is the first failure wearing a disguise.
         std::rethrow_exception(first_failure);
     }
     if (checkpointing) {
-        // The run is complete; the journal has served its purpose.
-        std::error_code ec;
-        std::filesystem::remove(options.checkpoint, ec);
+        // The run is complete; the journals have served their purpose.
+        for (const CornerJournal& entry : entries) {
+            std::error_code ec;
+            std::filesystem::remove(entry.path, ec);
+        }
     }
 
     if (options.stats != nullptr) {
-        options.stats->collect_wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        options.stats->sim_transitions = sim_transitions;
-        options.stats->sim_events = sim_events;
-        options.stats->events_per_sec =
-            options.stats->collect_wall_ms > 0.0
-                ? static_cast<double>(sim_events) /
-                      (options.stats->collect_wall_ms / 1000.0)
+        run.collect_wall_ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+        run.events_per_sec =
+            run.collect_wall_ms > 0.0
+                ? static_cast<double>(run.sim_events) / (run.collect_wall_ms / 1000.0)
                 : 0.0;
-        options.stats->max_queue_depth = max_queue_depth;
-        options.stats->records = records.size();
-        options.stats->shards = shards_merged;
-        options.stats->threads = pool.size();
-        options.stats->warmup_vectors = warmup_vectors;
-        options.stats->warmup_batches = warmup_batches;
-        options.stats->shard_failures = std::move(shard_failures);
-        options.stats->shards_resumed = shards_resumed;
-        options.stats->checkpoints_published = checkpoints_published;
-        options.stats->checkpoint_discarded = checkpoint_discarded;
-        options.stats->checkpoint_salvaged = checkpoint_salvaged;
-        options.stats->backend = options.backend;
-        options.stats->emulated_pairs = emulated_pairs;
-        options.stats->emulation_passes = emulation_passes;
-        options.stats->calibration_pairs = calibration.event_pairs;
-        options.stats->calibration_scale = glitch.scale;
-        options.stats->calibrate_ms = calibrate_ms;
+        run.records = records[0].size();
+        *options.stats = std::move(run);
     }
     return records;
+}
+
+} // namespace
+
+std::vector<CharacterizationRecord> Characterizer::collect_records(
+    const dp::DatapathModule& module, const CharacterizationOptions& options) const
+{
+    HDPM_REQUIRE(options.corners.empty(),
+                 "multi-corner sweeps go through collect_records_corners");
+    const CornerJournal only{options.corner, options.checkpoint,
+                             characterization_fingerprint(options, sim_options_, *library_)};
+    return std::move(
+        collect_plan(module, *library_, sim_options_, options, {&only, 1}).front());
 }
 
 HdModel fit_basic_model(int input_bits, std::span<const CharacterizationRecord> records)
@@ -1547,327 +1501,23 @@ std::vector<std::vector<CharacterizationRecord>> Characterizer::collect_records_
     HDPM_REQUIRE(corners >= 1, "corner sweep needs at least one corner");
     HDPM_REQUIRE(!options.corner.has_value(),
                  "options.corner and options.corners are mutually exclusive");
-    const int m = module.total_input_bits();
-    HDPM_REQUIRE(m >= 1 && m <= BitVec::kMaxWidth, "module input width out of range");
-    HDPM_REQUIRE(options.batch >= 1, "batch must be positive");
-    HDPM_REQUIRE(options.checkpoint_every >= 1, "checkpoint_every must be positive");
 
-    const auto start = std::chrono::steady_clock::now();
-    const StimulusMode mode = options.mode.value_or(StimulusMode::StratifiedChain);
-
-    // K derived libraries and electrical contexts, index-aligned with
-    // options.corners. The libraries must outlive nothing: SimContext
-    // consumes them during construction, but keeping the vector makes the
-    // derivation cost explicit and the contexts' provenance obvious.
-    std::vector<gate::TechLibrary> libraries;
-    libraries.reserve(corners);
-    for (const gate::Corner& corner : options.corners) {
-        libraries.push_back(library_->at(corner));
-    }
-    std::vector<std::unique_ptr<sim::SimContext>> contexts;
-    contexts.reserve(corners);
-    for (const gate::TechLibrary& library : libraries) {
-        contexts.push_back(
-            std::make_unique<sim::SimContext>(module.netlist(), library));
-    }
-    std::vector<const sim::SimContext*> context_ptrs;
-    context_ptrs.reserve(corners);
-    for (const auto& context : contexts) {
-        context_ptrs.push_back(context.get());
-    }
-
-    const std::size_t shard_size =
-        options.shard_size != 0 ? options.shard_size : options.batch;
-    const std::size_t num_shards =
-        (options.max_transitions + shard_size - 1) / shard_size;
-    const util::ThreadPool pool{options.threads};
-    const bool emulation = options.backend == CharBackend::PowerEmulation;
-
-    // Corners that simulate the same timing (one load class) share one
-    // event-kernel pass: the event sweep simulates each group once per
-    // shard, and the emulation backend calibrates each group once on one
-    // (group × calibration shard) grid. Either way every corner is scored
-    // from its own edge charges, exactly as its independent run would be.
-    const std::vector<std::vector<std::size_t>> groups = timing_groups(context_ptrs);
-    std::vector<std::vector<double>> weight_sets;
-    EmulationCalibration calibration;
-    calibration.corners.resize(1);
-    const auto calibrate_start = std::chrono::steady_clock::now();
-    if (emulation) {
-        calibration =
-            calibrate_emulation(context_ptrs, m, mode, options, sim_options_, pool);
-        weight_sets.reserve(corners);
-        for (CalibrationResult& cal : calibration.corners) {
-            weight_sets.push_back(std::move(cal.weights));
-        }
-    }
-    const double calibrate_ms = std::chrono::duration<double, std::milli>(
-                                    std::chrono::steady_clock::now() - calibrate_start)
-                                    .count();
-
-    // One merger per corner, each running the identical merge-and-convergence
-    // loop its independent single-corner run would — so each corner's
-    // stopping point (and record stream) matches that run exactly. The
-    // sweep stops simulating only once every corner has converged; blocks
-    // merged into an already-converged merger are discarded, exactly as
-    // collect_records discards shards simulated ahead of a stop.
-    std::vector<std::unique_ptr<ShardMerger>> mergers;
-    mergers.reserve(corners);
+    // Corner k journals at <checkpoint>.c<k> under its own single-corner
+    // fingerprint: its record stream is bit-identical to that run's, so
+    // either can resume the other's journal.
+    std::vector<CornerJournal> entries;
+    entries.reserve(corners);
     for (std::size_t k = 0; k < corners; ++k) {
-        mergers.push_back(std::make_unique<ShardMerger>(m, options));
+        CharacterizationOptions corner_options = options;
+        corner_options.corner = options.corners[k];
+        corner_options.corners.clear();
+        entries.push_back(CornerJournal{
+            options.corners[k], options.checkpoint.string() + ".c" + std::to_string(k),
+            characterization_fingerprint(corner_options, sim_options_, *library_)});
     }
-    const auto all_converged = [&] {
-        for (const auto& merger : mergers) {
-            if (!merger->converged()) {
-                return false;
-            }
-        }
-        return true;
-    };
-
-    std::size_t shards_merged = 0;
-    std::uint64_t sim_transitions = 0;
-    std::uint64_t sim_events = 0;
-    std::uint64_t warmup_vectors = 0;
-    std::uint64_t warmup_batches = 0;
-    std::uint64_t emulated_pairs = 0;
-    std::uint64_t emulation_passes = 0;
-    std::size_t max_queue_depth = 0;
-
-    // Per-corner checkpoint journals at <checkpoint>.c<k>, published in
-    // lockstep at the same shard boundaries. A crash between the K file
-    // publishes leaves journals of different lengths; resume takes the
-    // minimum valid prefix over all corners and re-simulates the rest, so
-    // lockstep is self-healing rather than load-bearing.
-    const bool checkpointing = !options.checkpoint.empty();
-    std::vector<CharCheckpoint> journals(corners);
-    std::vector<std::filesystem::path> journal_paths(corners);
-    std::vector<std::vector<CheckpointShard>> resumed(corners);
-    std::size_t checkpoints_published = 0;
-    bool checkpoint_discarded = false;
-    bool checkpoint_salvaged = false;
-    std::size_t resume_len = 0;
-    if (checkpointing) {
-        resume_len = num_shards; // min over corners below
-        for (std::size_t k = 0; k < corners; ++k) {
-            journal_paths[k] =
-                options.checkpoint.string() + ".c" + std::to_string(k);
-            // Every corner journals under its own single-corner
-            // fingerprint: its record stream is bit-identical to that run's,
-            // so either can resume the other's journal.
-            CharacterizationOptions corner_options = options;
-            corner_options.corner = options.corners[k];
-            corner_options.corners.clear();
-            journals[k].fingerprint =
-                characterization_fingerprint(corner_options, sim_options_, *library_);
-            journals[k].module_key = module_journal_key(module);
-            journals[k].input_bits = m;
-            {
-                std::error_code ec;
-                std::filesystem::remove(journal_paths[k].string() + ".tmp", ec);
-            }
-            const auto matches_plan = [&](const CharCheckpoint& loaded) {
-                return loaded.fingerprint == journals[k].fingerprint &&
-                       loaded.module_key == journals[k].module_key &&
-                       loaded.input_bits == m && loaded.shards.size() <= num_shards;
-            };
-            try {
-                if (auto loaded = load_checkpoint(journal_paths[k])) {
-                    if (matches_plan(*loaded)) {
-                        resumed[k] = std::move(loaded->shards);
-                    } else {
-                        checkpoint_discarded = true;
-                    }
-                }
-            } catch (const util::FaultError& error) {
-                if (error.kind() != util::FaultKind::CheckpointCorrupt) {
-                    throw;
-                }
-                CheckpointSalvage salvage = salvage_checkpoint(journal_paths[k]);
-                quarantine_checkpoint(journal_paths[k]);
-                checkpoint_discarded = true;
-                if (salvage.checkpoint.has_value() &&
-                    matches_plan(*salvage.checkpoint) &&
-                    !salvage.checkpoint->shards.empty()) {
-                    resumed[k] = std::move(salvage.checkpoint->shards);
-                    checkpoint_salvaged = true;
-                }
-            }
-            resume_len = std::min(resume_len, resumed[k].size());
-        }
-        for (std::size_t k = 0; k < corners; ++k) {
-            resumed[k].resize(resume_len);
-        }
-    }
-
-    std::vector<ShardFailure> shard_failures;
-    std::exception_ptr first_failure;
-
-    const auto report_progress = [&] {
-        if (options.progress) {
-            options.progress(CharProgress{shards_merged, num_shards,
-                                          mergers[0]->records().size(),
-                                          options.max_transitions});
-        }
-    };
-
-    const auto handle_shard_failure = [&](std::size_t shard,
-                                          std::exception_ptr error) {
-        if (first_failure == nullptr) {
-            first_failure = error;
-        }
-        try {
-            std::rethrow_exception(error);
-        } catch (util::FaultError& fault) {
-            fault.context().shard = static_cast<std::int64_t>(shard);
-            fault.context().bitwidth = m;
-            if (fault.context().component.empty()) {
-                fault.context().component = module_journal_key(module);
-            }
-            if (options.strict_faults) {
-                throw;
-            }
-            shard_failures.push_back(
-                ShardFailure{shard, fault.kind(), fault.what()});
-        } catch (const std::exception& e) {
-            if (options.strict_faults) {
-                throw;
-            }
-            shard_failures.push_back(
-                ShardFailure{shard, util::FaultKind::ShardFailed, e.what()});
-        }
-    };
-
-    // Replay the common journaled prefix through all K merge loops.
-    for (std::size_t r = 0; r < resume_len && !all_converged(); ++r) {
-        for (std::size_t k = 0; k < corners; ++k) {
-            mergers[k]->merge(resumed[k][r].records);
-            journals[k].shards.push_back(std::move(resumed[k][r]));
-        }
-        ++shards_merged;
-        report_progress();
-    }
-    const std::size_t shards_resumed = shards_merged;
-    std::size_t unpublished = 0;
-
-    for (std::size_t wave_start = resume_len;
-         wave_start < num_shards && !all_converged(); wave_start += pool.size()) {
-        const std::size_t wave =
-            std::min<std::size_t>(pool.size(), num_shards - wave_start);
-        auto results = pool.parallel_map(wave, [&](std::size_t i) {
-            const std::size_t shard = wave_start + i;
-            const std::size_t planned =
-                std::min(shard_size, options.max_transitions - shard * shard_size);
-            ShardOutcome outcome;
-            try {
-                outcome.result =
-                    emulation
-                        ? run_shard_emulation_multi(*context_ptrs[0], m, mode,
-                                                    options, weight_sets, shard,
-                                                    planned)
-                        : run_shard_event_multi(context_ptrs, groups, m, mode,
-                                                options, sim_options_, shard,
-                                                planned);
-            } catch (...) {
-                outcome.error = std::current_exception();
-            }
-            return outcome;
-        });
-
-        for (std::size_t i = 0; i < results.size() && !all_converged(); ++i) {
-            const std::size_t shard = wave_start + i;
-            ShardOutcome& outcome = results[i];
-            if (outcome.error != nullptr) {
-                handle_shard_failure(shard, outcome.error);
-                if (checkpointing) {
-                    for (std::size_t k = 0; k < corners; ++k) {
-                        journals[k].shards.push_back(CheckpointShard{shard, {}});
-                    }
-                    ++unpublished;
-                }
-            } else {
-                ShardResult& result = *outcome.result;
-                for (std::size_t k = 0; k < corners; ++k) {
-                    mergers[k]->merge(result.blocks[k]);
-                }
-                sim_transitions += result.sim_transitions;
-                sim_events += result.kernel.events_processed;
-                warmup_vectors += result.warmup_vectors;
-                warmup_batches += result.warmup_batches;
-                emulation_passes += result.emulation_passes;
-                if (emulation) {
-                    emulated_pairs += result.blocks[0].size() * corners;
-                }
-                max_queue_depth =
-                    std::max(max_queue_depth, result.kernel.max_queue_depth);
-                ++shards_merged;
-                if (checkpointing) {
-                    for (std::size_t k = 0; k < corners; ++k) {
-                        journals[k].shards.push_back(
-                            CheckpointShard{shard, std::move(result.blocks[k])});
-                    }
-                    ++unpublished;
-                }
-            }
-            report_progress();
-            if (checkpointing && !all_converged() &&
-                unpublished >= options.checkpoint_every) {
-                for (std::size_t k = 0; k < corners; ++k) {
-                    save_checkpoint(journal_paths[k], journals[k]);
-                }
-                unpublished = 0;
-                ++checkpoints_published;
-            }
-        }
-    }
-
-    std::vector<std::vector<CharacterizationRecord>> records;
-    records.reserve(corners);
-    bool any_records = false;
-    for (std::size_t k = 0; k < corners; ++k) {
-        records.push_back(mergers[k]->take_records());
-        any_records = any_records || !records.back().empty();
-    }
-    if (!any_records && first_failure != nullptr) {
-        std::rethrow_exception(first_failure);
-    }
-    if (checkpointing) {
-        for (std::size_t k = 0; k < corners; ++k) {
-            std::error_code ec;
-            std::filesystem::remove(journal_paths[k], ec);
-        }
-    }
-
+    auto records = collect_plan(module, *library_, sim_options_, options, entries);
     if (options.stats != nullptr) {
-        options.stats->collect_wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        options.stats->sim_transitions = sim_transitions;
-        options.stats->sim_events = sim_events;
-        options.stats->events_per_sec =
-            options.stats->collect_wall_ms > 0.0
-                ? static_cast<double>(sim_events) /
-                      (options.stats->collect_wall_ms / 1000.0)
-                : 0.0;
-        options.stats->max_queue_depth = max_queue_depth;
-        options.stats->records = records[0].size();
-        options.stats->shards = shards_merged;
-        options.stats->threads = pool.size();
-        options.stats->warmup_vectors = warmup_vectors;
-        options.stats->warmup_batches = warmup_batches;
-        options.stats->shard_failures = std::move(shard_failures);
-        options.stats->shards_resumed = shards_resumed;
-        options.stats->checkpoints_published = checkpoints_published;
-        options.stats->checkpoint_discarded = checkpoint_discarded;
-        options.stats->checkpoint_salvaged = checkpoint_salvaged;
-        options.stats->backend = options.backend;
-        options.stats->emulated_pairs = emulated_pairs;
-        options.stats->emulation_passes = emulation_passes;
-        options.stats->calibration_pairs = calibration.event_pairs;
-        options.stats->calibration_scale = calibration.corners.front().scale;
         options.stats->corners = corners;
-        options.stats->calibrate_ms = calibrate_ms;
     }
     return records;
 }

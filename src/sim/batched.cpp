@@ -182,40 +182,8 @@ std::vector<double> BatchedEvaluator::count_weighted_toggles(
     std::span<const BitVec> stream, std::span<const double> weights,
     std::vector<std::uint64_t>* counts)
 {
-    HDPM_REQUIRE(!stream.empty(), "count_weighted_toggles needs at least one vector");
-    HDPM_REQUIRE(weights.size() == lanes_.size(), "netlist '", netlist_->name(),
-                 "' has ", lanes_.size(), " nets, weights has ", weights.size());
-    std::vector<double> charges(stream.size() - 1, 0.0);
-    if (counts != nullptr) {
-        counts->assign(stream.size() - 1, 0);
-    }
-    std::size_t base = 0;
-    while (base + 1 < stream.size()) {
-        const std::size_t len =
-            std::min<std::size_t>(kLanes, stream.size() - base);
-        settle(stream.subspan(base, len));
-        const std::size_t pairs = len - 1;
-        const std::uint64_t pair_mask =
-            pairs >= 64 ? kAllLanes : (std::uint64_t{1} << pairs) - 1;
-        for (std::size_t net = 0; net < lanes_.size(); ++net) {
-            const std::uint64_t word = lanes_[net];
-            std::uint64_t diff = (word ^ (word >> 1)) & pair_mask;
-            if (diff == 0) {
-                continue;
-            }
-            const double w = weights[net];
-            while (diff != 0) {
-                const std::size_t j =
-                    base + static_cast<std::size_t>(std::countr_zero(diff));
-                charges[j] += w;
-                if (counts != nullptr) {
-                    (*counts)[j] += 1;
-                }
-                diff &= diff - 1;
-            }
-        }
-        base += pairs;
-    }
+    std::vector<double> charges;
+    count_weighted_toggles_multi(stream, {&weights, 1}, {&charges, 1}, counts);
     return charges;
 }
 
@@ -251,8 +219,8 @@ void BatchedEvaluator::count_weighted_toggles_multi(
                 continue;
             }
             // Nets iterate in ascending order and each set accumulates in
-            // that order — per set, the exact += sequence of a single-set
-            // count_weighted_toggles call (deterministic floating point).
+            // that order, independently of the other sets (deterministic
+            // floating point).
             for (std::size_t k = 0; k < weight_sets.size(); ++k) {
                 const double w = weight_sets[k][net];
                 std::vector<double>& out = charges[k];

@@ -76,7 +76,8 @@ public:
     /// weights accumulate in ascending net order, so the floating-point
     /// result is deterministic. When @p counts is non-null it receives the
     /// unweighted toggle counts of the same pass (one settle sweep serves
-    /// both). @p weights must hold one entry per net.
+    /// both). @p weights must hold one entry per net. The one-weight-set
+    /// call of count_weighted_toggles_multi.
     std::vector<double> count_weighted_toggles(std::span<const util::BitVec> stream,
                                                std::span<const double> weights,
                                                std::vector<std::uint64_t>* counts = nullptr);
@@ -85,9 +86,9 @@ public:
     /// corner chain scorer: one settle sweep over the stream scores every
     /// weight set at once. charges[k] is resized to N-1 and receives the
     /// stream scored against weight_sets[k]; per transition and per set the
-    /// weights accumulate in ascending net order, exactly as a single-set
-    /// count_weighted_toggles call would, so charges[k] is bit-identical
-    /// to count_weighted_toggles(stream, weight_sets[k]) while the settle
+    /// weights accumulate in ascending net order, independently of the
+    /// other sets, so charges[k] is bit-identical to
+    /// count_weighted_toggles(stream, weight_sets[k]) while the settle
     /// work is paid once instead of K times. When @p counts is non-null it
     /// receives the unweighted toggle counts (weight-set independent).
     void count_weighted_toggles_multi(

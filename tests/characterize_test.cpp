@@ -792,6 +792,45 @@ TEST(Emulation, ChainModesMatchEventStreamClasses)
     }
 }
 
+TEST(ShardRunner, TicksAtLeastOncePer64TransitionsOnEveryBackend)
+{
+    // The fleet's mid-shard heartbeat: every shard runner must tick at
+    // least once per 64 planned transitions, on both backends and in both
+    // stimulus families, and a tick must never change the records.
+    const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
+    for (const CharBackend backend :
+         {CharBackend::EventKernel, CharBackend::PowerEmulation}) {
+        for (const StimulusMode mode :
+             {StimulusMode::StratifiedPairs, StimulusMode::StratifiedChain}) {
+            CharacterizationOptions options;
+            options.max_transitions = 500; // the last shard is a short one
+            options.min_transitions = 500;
+            options.batch = 500;
+            options.shard_size = 200;
+            options.seed = 29;
+            options.mode = mode;
+            options.backend = backend;
+            options.calibration_pairs = 128;
+            options.threads = 1;
+            const ShardRunner runner{module, options};
+            for (std::size_t shard = 0; shard < runner.num_shards(); ++shard) {
+                const std::string label =
+                    std::string{char_backend_name(backend)} + "/" +
+                    (mode == StimulusMode::StratifiedPairs ? "pairs" : "chain") +
+                    "/shard " + std::to_string(shard);
+                std::size_t ticks = 0;
+                const auto ticked = runner.run(shard, [&ticks] { ++ticks; });
+                const auto plain = runner.run(shard);
+                const std::size_t planned = std::min(
+                    runner.shard_size(),
+                    options.max_transitions - shard * runner.shard_size());
+                EXPECT_GE(ticks, (planned + 63) / 64) << label;
+                expect_identical_records(plain, ticked, label);
+            }
+        }
+    }
+}
+
 TEST(Checkpoint, MalformedJournalsThrowCheckpointCorrupt)
 {
     const std::filesystem::path dir{::testing::TempDir()};

@@ -239,6 +239,128 @@ TEST(CornerSweep, InterruptedSweepResumesBitIdenticallyPerCorner)
     }
 }
 
+/// Every CharRunStats counter of a single-corner run equals the one-corner
+/// sweep's, except the wall times and `corners` (0 against 1).
+void expect_same_run_stats(const CharRunStats& single, const CharRunStats& sweep,
+                           const std::string& label)
+{
+    EXPECT_EQ(single.corners, 0U) << label;
+    EXPECT_EQ(sweep.corners, 1U) << label;
+    EXPECT_EQ(single.sim_transitions, sweep.sim_transitions) << label;
+    EXPECT_EQ(single.sim_events, sweep.sim_events) << label;
+    EXPECT_EQ(single.max_queue_depth, sweep.max_queue_depth) << label;
+    EXPECT_EQ(single.records, sweep.records) << label;
+    EXPECT_EQ(single.shards, sweep.shards) << label;
+    EXPECT_EQ(single.threads, sweep.threads) << label;
+    EXPECT_EQ(single.warmup_vectors, sweep.warmup_vectors) << label;
+    EXPECT_EQ(single.warmup_batches, sweep.warmup_batches) << label;
+    EXPECT_EQ(single.backend, sweep.backend) << label;
+    EXPECT_EQ(single.emulated_pairs, sweep.emulated_pairs) << label;
+    EXPECT_EQ(single.emulation_passes, sweep.emulation_passes) << label;
+    EXPECT_EQ(single.calibration_pairs, sweep.calibration_pairs) << label;
+    EXPECT_EQ(single.calibration_scale, sweep.calibration_scale) << label;
+    EXPECT_EQ(single.corner_calibration_pairs, sweep.corner_calibration_pairs) << label;
+    EXPECT_EQ(single.shard_failures.size(), sweep.shard_failures.size()) << label;
+    EXPECT_EQ(single.shards_resumed, sweep.shards_resumed) << label;
+    EXPECT_EQ(single.checkpoints_published, sweep.checkpoints_published) << label;
+    EXPECT_EQ(single.checkpoint_discarded, sweep.checkpoint_discarded) << label;
+    EXPECT_EQ(single.checkpoint_salvaged, sweep.checkpoint_salvaged) << label;
+}
+
+TEST(CornerSweep, SingleCornerRunIsTheOneCornerSweep)
+{
+    // collect_records at options.corner = c and collect_records_corners
+    // over {c} are one executor with one entry: same records, same stats.
+    const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
+    const Characterizer characterizer;
+    const std::filesystem::path dir{::testing::TempDir()};
+    for (const CharBackend backend :
+         {CharBackend::EventKernel, CharBackend::PowerEmulation}) {
+        for (std::size_t k = 0; k < kCorners.size(); ++k) {
+            const std::string label = std::string{char_backend_name(backend)} +
+                                      " corner " + std::to_string(k);
+            CharacterizationOptions single = sweep_options(backend, 4);
+            single.corner = kCorners[k];
+            single.checkpoint = dir / "k1_single.journal";
+            CharRunStats single_stats;
+            single.stats = &single_stats;
+            const auto records = characterizer.collect_records(module, single);
+
+            CharacterizationOptions sweep = sweep_options(backend, 4);
+            sweep.corners = {kCorners[k]};
+            sweep.checkpoint = dir / "k1_sweep.journal";
+            CharRunStats sweep_stats;
+            sweep.stats = &sweep_stats;
+            const auto blocks = characterizer.collect_records_corners(module, sweep);
+
+            ASSERT_EQ(blocks.size(), 1U) << label;
+            expect_identical_records(records, blocks[0], label);
+            expect_same_run_stats(single_stats, sweep_stats, label);
+        }
+    }
+}
+
+TEST(CornerSweep, SingleCornerAndOneCornerSweepResumeEachOthersJournal)
+{
+    // Corner k of a sweep journals at <checkpoint>.c<k> under the
+    // single-corner fingerprint, so a journal renamed between the two
+    // names resumes the other entry point bit-identically.
+    const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
+    const Characterizer characterizer;
+    const gate::Corner corner = kCorners[1];
+    for (const CharBackend backend :
+         {CharBackend::EventKernel, CharBackend::PowerEmulation}) {
+        const std::string label = char_backend_name(backend);
+        CharacterizationOptions single = sweep_options(backend, 1);
+        single.corner = corner;
+        CharacterizationOptions sweep = sweep_options(backend, 1);
+        sweep.corners = {corner};
+        const auto baseline = characterizer.collect_records(module, single);
+
+        const std::filesystem::path journal =
+            std::filesystem::path{::testing::TempDir()} / ("k1_resume_" + label + ".journal");
+        const std::filesystem::path corner_journal = journal.string() + ".c0";
+        single.checkpoint = journal;
+        sweep.checkpoint = journal;
+        const auto abort_after_three = [](const CharProgress& p) {
+            if (p.shards_merged >= 3) {
+                throw AbortRun{};
+            }
+        };
+        CharRunStats stats;
+
+        // Single-corner journal -> one-corner sweep.
+        CharacterizationOptions interrupted = single;
+        interrupted.threads = 4;
+        interrupted.progress = abort_after_three;
+        EXPECT_THROW((void)characterizer.collect_records(module, interrupted), AbortRun);
+        std::filesystem::rename(journal, corner_journal);
+        sweep.stats = &stats;
+        const auto swept = characterizer.collect_records_corners(module, sweep);
+        EXPECT_EQ(stats.shards_resumed, 2U) << label;
+        EXPECT_FALSE(stats.checkpoint_discarded) << label;
+        ASSERT_EQ(swept.size(), 1U) << label;
+        expect_identical_records(baseline, swept[0], label + " single -> sweep");
+        EXPECT_FALSE(std::filesystem::exists(corner_journal)) << label;
+
+        // One-corner sweep journal -> single-corner run.
+        interrupted = sweep;
+        interrupted.threads = 4;
+        interrupted.stats = nullptr;
+        interrupted.progress = abort_after_three;
+        EXPECT_THROW((void)characterizer.collect_records_corners(module, interrupted),
+                     AbortRun);
+        std::filesystem::rename(corner_journal, journal);
+        stats = {};
+        single.stats = &stats;
+        const auto resumed = characterizer.collect_records(module, single);
+        EXPECT_EQ(stats.shards_resumed, 2U) << label;
+        EXPECT_FALSE(stats.checkpoint_discarded) << label;
+        expect_identical_records(baseline, resumed, label + " sweep -> single");
+        EXPECT_FALSE(std::filesystem::exists(journal)) << label;
+    }
+}
+
 TEST(CornerSweep, FittedModelsTrackThePhysicsAcrossCorners)
 {
     // Energy scales ~(V/V0)²: the 2.5 V / 85 °C corner's coefficients must
